@@ -8,7 +8,6 @@ enumerate it, a chance-constrained roadmap planner, and an experiment
 harness with built-in consistency oracles.
 """
 
-from ._kernels import NUMBA_AVAILABLE, USE_NUMBA, backend as kernel_backend
 from .baselines import (
     AnalyticHybridBelief,
     HypothesisParticleFilter,
@@ -27,9 +26,7 @@ from .estimators import (
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,
-    hoeffding_samples,
     is_mse_lower_bound,
-    posterior_mse_bound,
     rao_blackwell_gap,
     rollout_states,
     safety_reward,

@@ -1,11 +1,8 @@
-"""Hot numerical loops: numba-compiled kernels with pure-numpy fallbacks.
+"""Hot numerical loops, in numpy.
 
-Backend selection: the environment variable SEMGEO_NUMBA (default on) gates
-the compiled path; setting it to 0/false/off forces the numpy fallbacks even
-when numba is importable.  Both implementations accumulate per-observation
-terms in the same order (observations sorted by object, then time), so the
-two backends agree to floating-point noise and a parity test can hold them
-to a tight tolerance.
+Per-observation terms are summed in the order the caller passes them;
+HybridBelief sorts its observations by object, then time, which fixes the
+floating-point summation order.
 
 Kernels:
     class_log_tables   per-sample, per-object, per-class log posterior table
@@ -15,40 +12,38 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_CHUNK = 16384  # numpy fallback: bound per-chunk temporaries
-
-
-def _flag(name: str, default: str = "1") -> bool:
-    return os.environ.get(name, default).strip().lower() not in ("0", "false", "off")
-
-
-NUMBA_AVAILABLE = False
-try:  # pragma: no cover - import guard
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    njit = None
-
-USE_NUMBA = NUMBA_AVAILABLE and _flag("SEMGEO_NUMBA")
+_CHUNK = 16384  # samples per block: bounds the per-block temporaries
 
 
 def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Backend name, echoed as `kernel_backend` in every experiment summary."""
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
 # class log tables
 
 
-def _class_log_tables_np(
+def class_log_tables(
     samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, sigma2
 ):
+    """(n_samples, n_objects, n_classes) table of log[P0(c) * prod_t P_Z(z|...)].
+
+    samples: (ns, dim) stacked states; pose_col/obj_col: per-observation
+    column offsets of the pose and object slots; obs_obj: per-observation
+    object row; obs_z: (m, 2) semantic measurements.
+    """
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    pose_col = np.ascontiguousarray(pose_col, dtype=np.int64)
+    obj_col = np.ascontiguousarray(obj_col, dtype=np.int64)
+    obs_obj = np.ascontiguousarray(obs_obj, dtype=np.int64)
+    obs_z = np.ascontiguousarray(obs_z, dtype=np.float64)
+    log_prior = np.ascontiguousarray(log_prior, dtype=np.float64)
+    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
+    sigma2 = float(sigma2)
     ns = samples.shape[0]
     n_obj, n_cls = log_prior.shape
     out = np.empty((ns, n_obj, n_cls))
@@ -75,67 +70,20 @@ def _class_log_tables_np(
     return out
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _class_log_tables_nb(
-        samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, sigma2
-    ):  # pragma: no cover - compiled
-        ns = samples.shape[0]
-        n_obj, n_cls = log_prior.shape
-        m = obs_obj.shape[0]
-        const = -_LOG_2PI - np.log(sigma2)
-        inv = 0.5 / sigma2
-        out = np.empty((ns, n_obj, n_cls))
-        for i in range(ns):
-            for n in range(n_obj):
-                for c in range(n_cls):
-                    out[i, n, c] = log_prior[n, c]
-            for j in range(m):
-                pc = pose_col[j]
-                oc = obj_col[j]
-                n = obs_obj[j]
-                rx = samples[i, oc] - samples[i, pc]
-                ry = samples[i, oc + 1] - samples[i, pc + 1]
-                zx = obs_z[j, 0]
-                zy = obs_z[j, 1]
-                for c in range(n_cls):
-                    dx = zx - alphas[c] * rx
-                    dy = zy - alphas[c] * ry
-                    out[i, n, c] += const - inv * (dx * dx + dy * dy)
-        return out
-
-
-def class_log_tables(
-    samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, sigma2
-):
-    """(n_samples, n_objects, n_classes) table of log[P0(c) * prod_t P_Z(z|...)].
-
-    samples: (ns, dim) stacked states; pose_col/obj_col: per-observation
-    column offsets of the pose and object slots; obs_obj: per-observation
-    object row; obs_z: (m, 2) semantic measurements.
-    """
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    args = (
-        samples,
-        np.ascontiguousarray(pose_col, dtype=np.int64),
-        np.ascontiguousarray(obj_col, dtype=np.int64),
-        np.ascontiguousarray(obs_obj, dtype=np.int64),
-        np.ascontiguousarray(obs_z, dtype=np.float64),
-        np.ascontiguousarray(log_prior, dtype=np.float64),
-        np.ascontiguousarray(alphas, dtype=np.float64),
-        float(sigma2),
-    )
-    if USE_NUMBA:
-        return _class_log_tables_nb(*args)
-    return _class_log_tables_np(*args)
-
-
 # ----------------------------------------------------------------------
 # Metropolis-Hastings scan (independence proposal)
 
 
-def _mh_scan_np(log_target, log_u):
+def mh_scan(log_target, log_u):
+    """Sequential independence-sampler scan.
+
+    log_target[t] is the log target ratio numerator for proposal t (target
+    over proposal density, up to a constant); log_u are log-uniform draws.
+    Proposal 0 initializes the chain.  Returns (occupied proposal index per
+    step, acceptance count, longest rejection streak).
+    """
+    log_target = np.ascontiguousarray(log_target, dtype=np.float64)
+    log_u = np.ascontiguousarray(log_u, dtype=np.float64)
     n = len(log_target)
     take = np.empty(n, dtype=np.int64)
     take[0] = 0
@@ -156,50 +104,21 @@ def _mh_scan_np(log_target, log_u):
     return take, accepts, max_consec
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _mh_scan_nb(log_target, log_u):  # pragma: no cover - compiled
-        n = log_target.shape[0]
-        take = np.empty(n, dtype=np.int64)
-        take[0] = 0
-        cur = 0
-        accepts = 0
-        consec = 0
-        max_consec = 0
-        for t in range(1, n):
-            if log_u[t] < log_target[t] - log_target[cur]:
-                cur = t
-                accepts += 1
-                consec = 0
-            else:
-                consec += 1
-                if consec > max_consec:
-                    max_consec = consec
-            take[t] = cur
-        return take, accepts, max_consec
-
-
-def mh_scan(log_target, log_u):
-    """Sequential independence-sampler scan.
-
-    log_target[t] is the log target ratio numerator for proposal t (target
-    over proposal density, up to a constant); log_u are log-uniform draws.
-    Proposal 0 initializes the chain.  Returns (occupied proposal index per
-    step, acceptance count, longest rejection streak).
-    """
-    log_target = np.ascontiguousarray(log_target, dtype=np.float64)
-    log_u = np.ascontiguousarray(log_u, dtype=np.float64)
-    if USE_NUMBA:
-        return _mh_scan_nb(log_target, log_u)
-    return _mh_scan_np(log_target, log_u)
-
-
 # ----------------------------------------------------------------------
 # safety indicator products
 
 
-def _safety_products_np(future_xy, object_xy, radii):
+def safety_products(future_xy, object_xy, radii):
+    """Indicator that every future pose clears the class-c disk of object n.
+
+    future_xy: (ns, n_future, 2) rolled-out poses (current pose excluded);
+    object_xy: (ns, n_objects, 2) sampled object positions; radii: per-class
+    disk radii.  Returns (ns, n_objects, n_classes) of 0/1 floats; an empty
+    future axis yields all ones.
+    """
+    future_xy = np.ascontiguousarray(future_xy, dtype=np.float64)
+    object_xy = np.ascontiguousarray(object_xy, dtype=np.float64)
+    radii = np.ascontiguousarray(radii, dtype=np.float64)
     ns, n_t, _ = future_xy.shape
     n_obj = object_xy.shape[1]
     n_cls = len(radii)
@@ -215,43 +134,3 @@ def _safety_products_np(future_xy, object_xy, radii):
         min_d2 = d2.min(axis=2)  # (b, n_obj)
         out[lo:hi] = (min_d2[:, :, None] > r2[None, None, :]).astype(np.float64)
     return out
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _safety_products_nb(future_xy, object_xy, radii):  # pragma: no cover
-        ns, n_t, _ = future_xy.shape
-        n_obj = object_xy.shape[1]
-        n_cls = radii.shape[0]
-        out = np.empty((ns, n_obj, n_cls))
-        for i in range(ns):
-            for n in range(n_obj):
-                ox = object_xy[i, n, 0]
-                oy = object_xy[i, n, 1]
-                min_d2 = np.inf
-                for t in range(n_t):
-                    dx = future_xy[i, t, 0] - ox
-                    dy = future_xy[i, t, 1] - oy
-                    d2 = dx * dx + dy * dy
-                    if d2 < min_d2:
-                        min_d2 = d2
-                for c in range(n_cls):
-                    out[i, n, c] = 1.0 if min_d2 > radii[c] * radii[c] else 0.0
-        return out
-
-
-def safety_products(future_xy, object_xy, radii):
-    """Indicator that every future pose clears the class-c disk of object n.
-
-    future_xy: (ns, n_future, 2) rolled-out poses (current pose excluded);
-    object_xy: (ns, n_objects, 2) sampled object positions; radii: per-class
-    disk radii.  Returns (ns, n_objects, n_classes) of 0/1 floats; an empty
-    future axis yields all ones.
-    """
-    future_xy = np.ascontiguousarray(future_xy, dtype=np.float64)
-    object_xy = np.ascontiguousarray(object_xy, dtype=np.float64)
-    radii = np.ascontiguousarray(radii, dtype=np.float64)
-    if USE_NUMBA:
-        return _safety_products_nb(future_xy, object_xy, radii)
-    return _safety_products_np(future_xy, object_xy, radii)

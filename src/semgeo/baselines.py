@@ -20,7 +20,6 @@ first update, mirroring common multi-hypothesis practice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -53,13 +52,12 @@ def _top_k(log_weights: np.ndarray, keep: int) -> np.ndarray:
 class AnalyticHybridBelief:
     """Exact mixture belief: one Gaussian graph per tracked hypothesis."""
 
-    def __init__(self, scenario, labels_enum, graphs, log_prior_c, tag, evidence_trace):
+    def __init__(self, scenario, labels_enum, graphs, log_prior_c, tag):
         self.scenario = scenario
         self.labels_enum = labels_enum  # (n_tracked, n_objects) 0-based
         self.graphs = graphs
         self.log_prior_c = log_prior_c
         self.tag = tag
-        self.evidence_trace = evidence_trace  # per-step (n_tracked,) snapshots
         self._log_w = None
 
     @classmethod
@@ -75,7 +73,7 @@ class AnalyticHybridBelief:
         log_prior_c = log_pc[np.arange(scenario.n_objects)[None, :], labels_enum].sum(
             axis=1
         )
-        return cls(scenario, labels_enum, graphs, log_prior_c, "theoretical-all-hyp", [])
+        return cls(scenario, labels_enum, graphs, log_prior_c, "theoretical-all-hyp")
 
     # ------------------------------------------------------------------
 
@@ -117,14 +115,12 @@ class AnalyticHybridBelief:
                 )
             new_graphs.append(g)
         out = AnalyticHybridBelief(
-            sc,
-            self.labels_enum,
-            new_graphs,
-            self.log_prior_c,
-            self.tag,
-            list(self.evidence_trace),
+            sc, self.labels_enum, new_graphs, self.log_prior_c, self.tag
         )
-        out.evidence_trace.append(out.log_evidences())
+        # Factor every hypothesis graph and form the new weights here, in the
+        # filter step, not in the first query: psafe-vs-time rows time the
+        # queries alone.
+        out.log_weights
         return out
 
     def log_evidences(self) -> np.ndarray:
@@ -147,15 +143,13 @@ class AnalyticHybridBelief:
         if keep < 1:
             raise ValueError("keep must be >= 1")
         sel = _top_k(self.log_weights, min(keep, self.n_tracked))
-        out = AnalyticHybridBelief(
+        return AnalyticHybridBelief(
             self.scenario,
             self.labels_enum[sel],
             [self.graphs[i] for i in sel],
             self.log_prior_c[sel],
             "theoretical-pruned",
-            [ev[sel] for ev in self.evidence_trace],
         )
-        return out
 
     # ------------------------------------------------------------------
     # queries

@@ -95,12 +95,18 @@ class Hypothesis:
 def enumerate_labels(
     n_objects: int, n_classes: int, max_hypotheses: int | None = None
 ) -> np.ndarray:
-    """(n_hypotheses, n_objects) 0-based label matrix, row h = decode(h)."""
-    total = n_hypotheses(n_objects, n_classes)
-    if max_hypotheses is not None and total > max_hypotheses:
+    """(n_hypotheses, n_objects) 0-based label matrix, row h = decode(h).
+
+    The guard compares the exact count before any index is formed, so it
+    speaks even where the count exceeds the 64-bit codec range.
+    """
+    count = n_classes**n_objects
+    if max_hypotheses is not None and count > max_hypotheses:
         raise ValueError(
-            f"{total} hypotheses exceed the enumeration guard {max_hypotheses}"
+            f"{count} hypotheses exceed the enumeration guard "
+            f"max_hypotheses={max_hypotheses}"
         )
+    total = n_hypotheses(n_objects, n_classes)
     idx = np.arange(total, dtype=np.int64)
     out = np.empty((total, n_objects), dtype=np.int64)
     for n in range(n_objects):
@@ -113,13 +119,9 @@ class HybridBelief:
 
     Immutable by convention: update() returns a new belief sharing nothing
     mutable with its parent.  Semantic measurements are stored flat (object
-    id, time index, 2D value) and sorted by object then time so both kernel
-    backends accumulate in the same order.
-
-    prior_hook, when given, maps a batch of start poses (ns, 2) to per-sample
-    log class priors (ns, n_objects, n_classes), letting the class prior
-    condition on where the robot started.  The default uses the scenario's
-    constant table.
+    id, time index, 2D value) and sorted by object then time; that order is
+    the order in which the class-table kernel sums their log likelihoods, so
+    it fixes the floating-point result.
     """
 
     def __init__(
@@ -130,7 +132,6 @@ class HybridBelief:
         sem_t: np.ndarray,
         sem_z: np.ndarray,
         k: int,
-        prior_hook=None,
     ):
         self.scenario = scenario
         self.geo = geo
@@ -138,7 +139,6 @@ class HybridBelief:
         self.sem_t = np.asarray(sem_t, dtype=np.int64)
         self.sem_z = np.asarray(sem_z, dtype=np.float64).reshape(-1, 2)
         self.k = k
-        self.prior_hook = prior_hook
         order = np.lexsort((self.sem_t, self.sem_obj))
         self.sem_obj = self.sem_obj[order]
         self.sem_t = self.sem_t[order]
@@ -154,7 +154,7 @@ class HybridBelief:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, prior_hook=None) -> "HybridBelief":
+    def from_scenario(cls, scenario: Scenario) -> "HybridBelief":
         index = StackedIndex(scenario.n_objects, 0)
         geo = GaussianFactorGraph(index)
         geo.add_prior(
@@ -167,7 +167,7 @@ class HybridBelief:
                 scenario.object_prior_covs[n],
             )
         empty = np.empty(0)
-        return cls(scenario, geo, empty, empty, np.empty((0, 2)), 0, prior_hook)
+        return cls(scenario, geo, empty, empty, np.empty((0, 2)), 0)
 
     @property
     def index(self) -> StackedIndex:
@@ -201,7 +201,7 @@ class HybridBelief:
             [self.sem_t, np.full(len(batch.object_ids), batch.t, dtype=np.int64)]
         )
         sem_z = np.concatenate([self.sem_z, batch.semantic], axis=0)
-        return HybridBelief(sc, geo, sem_obj, sem_t, sem_z, self.k + 1, self.prior_hook)
+        return HybridBelief(sc, geo, sem_obj, sem_t, sem_z, self.k + 1)
 
     # ------------------------------------------------------------------
     # class tables and derived quantities
@@ -210,24 +210,16 @@ class HybridBelief:
         """(ns, n_objects, n_classes) log btilde[c_n | X] per sample."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         sc = self.scenario
-        if self.prior_hook is None:
-            log_prior = sc.log_class_prior()
-        else:
-            log_prior = np.zeros((sc.n_objects, sc.n_classes))
-        out = _kernels.class_log_tables(
+        return _kernels.class_log_tables(
             samples,
             self._pose_col,
             self._obj_col,
             self.sem_obj,
             self.sem_z,
-            log_prior,
+            sc.log_class_prior(),
             sc.alphas,
             sc.sigma2_obs,
         )
-        if self.prior_hook is not None:
-            x0 = samples[:, self.index.pose_slice(0)]
-            out = out + self.prior_hook(x0)
-        return out
 
     def log_phi(self, samples: np.ndarray) -> np.ndarray:
         """log phi(X) = sum_n logsumexp_c of the class table, per sample."""
@@ -249,16 +241,6 @@ class HybridBelief:
         tables = tables - tables.max(axis=2, keepdims=True)
         probs = np.exp(tables)
         return probs / probs.sum(axis=2, keepdims=True)
-
-    def class_conditional_unnormalized(self, x: np.ndarray, n: int) -> np.ndarray:
-        """(n_classes,) vector btilde[c | X] for object n at a single state.
-
-        Computed in log space; the returned scale is the true product of the
-        prior and every semantic likelihood, so entries underflow to 0 only
-        for histories whose log products fall below float64 range.
-        """
-        tables = self.class_log_tables(np.asarray(x, dtype=float).reshape(1, -1))
-        return np.exp(tables[0, n])
 
     def sample_hypothesis_given_state(
         self, samples: np.ndarray, rng: np.random.Generator

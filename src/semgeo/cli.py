@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ALL_KINDS,
     BENCHMARK_KINDS,
     ESTIMATION_KINDS,
     PLANNING_KINDS,

@@ -353,24 +353,6 @@ def is_mse_lower_bound(prior, proposal, gbar, n_samples: int) -> float:
     return float(total * (w @ (gbar - mean) ** 2) / n_samples)
 
 
-def posterior_mse_bound(posterior, gbar, n_samples: int) -> float:
-    """MSE floor when the hypothesis proposal equals the posterior weights."""
-    posterior = np.asarray(posterior, dtype=float)
-    gbar = np.asarray(gbar, dtype=float)
-    mean = posterior @ gbar
-    return float(posterior @ (gbar - mean) ** 2 / n_samples)
-
-
-def hoeffding_samples(eps: float, delta: float) -> int:
-    """Samples needed so a [0,1]-bounded mean estimate is within eps with
-    probability 1 - delta (two-sided bound 2 exp(-2 N eps^2))."""
-    return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps**2)))
-
-
-def hoeffding_failure_bound(n_samples: int, eps: float) -> float:
-    return float(2.0 * math.exp(-2.0 * n_samples * eps**2))
-
-
 # ----------------------------------------------------------------------
 # Rao-Blackwell gap study
 

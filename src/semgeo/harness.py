@@ -26,22 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .baselines import AnalyticHybridBelief, verify_weight_recursion
-from .belief import Hypothesis, HybridBelief, enumerate_labels
-from .estimators import (
-    OpenLoopPlan,
-    estimate_explicit_c,
-    estimate_structured,
-    is_mse_lower_bound,
-    make_context,
-    reward_at_labels,
-    rollout_states,
-    safety_reward,
-)
-from .gaussian import GaussianFactorGraph, StackedIndex
+from .estimators import OpenLoopPlan
 from .methods import METHOD_TAGS, create_method
 from .planner import PlannerConfig, run_planning_trial
-from .samplers import mh_sample, snis_sample
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -236,8 +223,7 @@ def _reference_method(scenario: Scenario):
     return create_method("theoretical-all-hyp", scenario, fast_conditional=True)
 
 
-def _estimation_trial(cfg_dict: dict, scenario: Scenario, trial: int) -> list:
-    cfg = ExperimentConfig.from_dict(dict(cfg_dict, scenario=scenario.to_dict()))
+def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> list:
     streams = trial_streams(cfg.seed, trial)
     world, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     methods = {
@@ -300,9 +286,8 @@ def _estimation_trial(cfg_dict: dict, scenario: Scenario, trial: int) -> list:
 
 
 def _size_sweep_trial(
-    cfg_dict: dict, scenario: Scenario, sweep_value, trial: int
+    cfg: ExperimentConfig, scenario: Scenario, sweep_value, trial: int
 ) -> list:
-    cfg = ExperimentConfig.from_dict(dict(cfg_dict, scenario=scenario.to_dict()))
     streams = trial_streams(cfg.seed, trial)
     world, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     methods = {
@@ -341,8 +326,7 @@ def _size_sweep_trial(
     return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
 
 
-def _planning_trial(cfg_dict: dict, scenario: Scenario, item) -> list:
-    cfg = ExperimentConfig.from_dict(dict(cfg_dict, scenario=scenario.to_dict()))
+def _planning_trial(cfg: ExperimentConfig, scenario: Scenario, item) -> list:
     trial, tag = item
     pcfg = PlannerConfig(
         n_samples=cfg.n_samples,
@@ -378,7 +362,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     t_start = time.perf_counter()
     if config.kind in ("psafe-vs-time", "rmse-vs-samples"):
         results = _pmap(
-            partial(_estimation_trial, cfg_dict, config.scenario),
+            partial(_estimation_trial, config, config.scenario),
             range(config.trials),
             config.workers,
         )
@@ -391,7 +375,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         for value in config.sweep[param]:
             scen = resize_scenario(config.scenario, **{param: int(value)})
             results = _pmap(
-                partial(_size_sweep_trial, cfg_dict, scen, int(value)),
+                partial(_size_sweep_trial, config, scen, int(value)),
                 range(config.trials),
                 config.workers,
             )
@@ -403,7 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     elif config.kind == "planning-table":
         items = [(t, tag) for t in range(config.trials) for tag in config.methods]
         results = _pmap(
-            partial(_planning_trial, cfg_dict, config.scenario), items, config.workers
+            partial(_planning_trial, config, config.scenario), items, config.workers
         )
         plan_rows = [r for res in results for r in res]
         summary["planning"] = _summarize_planning(plan_rows)
@@ -489,53 +473,51 @@ def _summarize_planning(rows: list) -> dict:
 # emission
 
 
-def emit_plotdata(rows, summary: dict, out_dir, prefix: str) -> dict:
+def _emit(columns, cells, summary: dict, out_dir, prefix: str) -> dict:
+    """Write `<prefix>_rows.csv` (a header, then one line per cell list) and
+    `<prefix>_summary.json`; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / f"{prefix}_rows.csv"
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.trial,
-                    r.time_step,
-                    r.method,
-                    repr(r.estimate),
-                    repr(r.reference_value),
-                    repr(r.squared_error),
-                    repr(r.wall_ms),
-                    r.n_samples,
-                    r.sweep_value,
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows(cells)
     summary_path = out / f"{prefix}_summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=str)
     return {"rows": str(rows_path), "summary": str(summary_path)}
+
+
+def emit_plotdata(rows, summary: dict, out_dir, prefix: str) -> dict:
+    cells = (
+        [
+            r.trial,
+            r.time_step,
+            r.method,
+            repr(r.estimate),
+            repr(r.reference_value),
+            repr(r.squared_error),
+            repr(r.wall_ms),
+            r.n_samples,
+            r.sweep_value,
+        ]
+        for r in rows
+    )
+    return _emit(METRIC_COLUMNS, cells, summary, out_dir, prefix)
 
 
 def emit_planning(rows, summary: dict, out_dir, prefix: str) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / f"{prefix}_rows.csv"
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLANNING_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.trial,
-                    r.method,
-                    int(r.safe),
-                    int(r.reached_goal),
-                    repr(r.dist_to_goal),
-                    repr(r.traj_len),
-                    repr(r.wall_ms),
-                ]
-            )
-    summary_path = out / f"{prefix}_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-    return {"rows": str(rows_path), "summary": str(summary_path)}
+    cells = (
+        [
+            r.trial,
+            r.method,
+            int(r.safe),
+            int(r.reached_goal),
+            repr(r.dist_to_goal),
+            repr(r.traj_len),
+            repr(r.wall_ms),
+        ]
+        for r in rows
+    )
+    return _emit(PLANNING_COLUMNS, cells, summary, out_dir, prefix)

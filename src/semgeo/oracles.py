@@ -10,11 +10,9 @@ suite reuses the same implementations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _kernels
 from .baselines import AnalyticHybridBelief, verify_weight_recursion
@@ -26,10 +24,9 @@ from .estimators import (
     estimate_explicit_c,
     estimate_structured,
     is_mse_lower_bound,
-    make_context,
     rollout_states,
 )
-from .gaussian import GaussianFactorGraph, StackedIndex
+from .gaussian import GaussianFactorGraph
 from .samplers import mh_sample, snis_sample
 from .scenario import LOG_2PI, Scenario, simulate, trial_streams
 
@@ -319,40 +316,6 @@ def check_sampler_moments(scenario: Scenario, seed: int = 0) -> CheckResult:
     return _check("sampler-moments", worst < 6.0, f"max |z| {worst:.2f} (6.0 limit)")
 
 
-def check_kernel_parity(scenario: Scenario, seed: int = 0) -> CheckResult:
-    if not _kernels.NUMBA_AVAILABLE:
-        return _check("kernel-parity", True, "numba unavailable, numpy only")
-    _, _, hybrid, _, streams = build_history_beliefs(scenario, 3, seed)
-    samples = hybrid.geo.sample(streams.sampler, 256)
-    args = (
-        samples,
-        hybrid._pose_col,
-        hybrid._obj_col,
-        hybrid.sem_obj,
-        hybrid.sem_z,
-        scenario.log_class_prior(),
-        scenario.alphas,
-        scenario.sigma2_obs,
-    )
-    a = _kernels._class_log_tables_np(*args)
-    b = _kernels._class_log_tables_nb(*args)
-    dev_tables = float(np.abs(a - b).max())
-    future = streams.sampler.normal(size=(64, 5, 2))
-    objects = streams.sampler.normal(size=(64, scenario.n_objects, 2))
-    sa = _kernels._safety_products_np(future, objects, scenario.unsafe_radius)
-    sb = _kernels._safety_products_nb(future, objects, scenario.unsafe_radius)
-    dev_safety = float(np.abs(sa - sb).max())
-    lt = streams.sampler.normal(size=500)
-    lu = np.log(streams.sampler.random(500))
-    ta, aa, ca = _kernels._mh_scan_np(lt, lu)
-    tb, ab, cb = _kernels._mh_scan_nb(lt, lu)
-    scan_ok = np.array_equal(ta, tb) and aa == ab and ca == cb
-    ok = dev_tables < 1e-9 and dev_safety == 0.0 and scan_ok
-    return _check(
-        "kernel-parity", ok, f"tables dev {dev_tables:.2e}, safety dev {dev_safety}"
-    )
-
-
 def check_mse_bound_example(seed: int = 0) -> CheckResult:
     val = is_mse_lower_bound(
         np.full(4, 0.25), np.full(4, 0.25), np.array([0.0, 1.0, 0.0, 1.0]), 100
@@ -376,7 +339,6 @@ def run_oracle_checks(scenario: Scenario | None = None, seed: int = 0, verbose=T
         check_structured_vs_explicit(scenario, seed),
         check_safety_identity(scenario, seed),
         check_sampler_moments(scenario, seed),
-        check_kernel_parity(scenario, seed),
         check_mse_bound_example(seed),
     ]
     if verbose:

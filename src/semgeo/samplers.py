@@ -61,15 +61,11 @@ class McmcConfig:
     burn_in: int = 200
     thinning: int = 5
     chains: int = 4
-    proposal: str = "independence"  # or "random-walk"
-    step_scale: float = 0.5
     stall_limit: int = 10_000
 
     def __post_init__(self):
         if self.burn_in < 0 or self.thinning < 1 or self.chains < 1:
             raise ValueError("burn_in >= 0, thinning >= 1, chains >= 1 required")
-        if self.proposal not in ("independence", "random-walk"):
-            raise ValueError(f"unknown proposal kind {self.proposal!r}")
 
 
 def mh_sample(
@@ -80,8 +76,8 @@ def mh_sample(
 ) -> WeightedStateSet:
     """Metropolis-Hastings targeting b_g[X] * phi(X).
 
-    The default independence proposal draws from the geometric posterior, so
-    the acceptance ratio reduces to phi(X') / phi(X); proposals and their
+    The independence proposal draws from the geometric posterior, so the
+    acceptance ratio reduces to phi(X') / phi(X); proposals and their
     log phi are precomputed in one batch per chain and the accept/reject
     scan runs over the precomputed values.  Samples carry uniform weights.
     """
@@ -93,37 +89,13 @@ def mh_sample(
     proposals_total = 0
     max_consec = 0
     for _ in range(config.chains):
-        if config.proposal == "independence":
-            iters = config.burn_in + config.thinning * (kept_per_chain - 1) + 1
-            draws = belief.geo.sample(rng, iters)
-            log_phi = belief.log_phi(draws)
-            log_u = np.log(rng.random(iters))
-            take, acc, consec = _kernels.mh_scan(log_phi, log_u)
-            keep = config.burn_in + config.thinning * np.arange(kept_per_chain)
-            pieces.append(draws[take[keep]])
-        else:
-            iters = config.burn_in + config.thinning * (kept_per_chain - 1) + 1
-            x = belief.geo.sample(rng, 1)[0]
-            lp = float(belief.log_unnormalized_marginal(x[None, :])[0])
-            kept = np.empty((kept_per_chain, belief.geo.dim))
-            j = 0
-            acc = 0
-            consec = 0
-            streak = 0
-            for t in range(iters):
-                prop = x + config.step_scale * rng.standard_normal(belief.geo.dim)
-                lp_prop = float(belief.log_unnormalized_marginal(prop[None, :])[0])
-                if math.log(rng.random()) < lp_prop - lp:
-                    x, lp = prop, lp_prop
-                    acc += 1
-                    streak = 0
-                else:
-                    streak += 1
-                    consec = max(consec, streak)
-                if t >= config.burn_in and (t - config.burn_in) % config.thinning == 0:
-                    kept[j] = x
-                    j += 1
-            pieces.append(kept[:j])
+        iters = config.burn_in + config.thinning * (kept_per_chain - 1) + 1
+        draws = belief.geo.sample(rng, iters)
+        log_phi = belief.log_phi(draws)
+        log_u = np.log(rng.random(iters))
+        take, acc, consec = _kernels.mh_scan(log_phi, log_u)
+        keep = config.burn_in + config.thinning * np.arange(kept_per_chain)
+        pieces.append(draws[take[keep]])
         accepts += acc
         proposals_total += iters - 1
         max_consec = max(max_consec, consec)
@@ -140,7 +112,6 @@ def mh_sample(
         "burn_in": config.burn_in,
         "thinning": config.thinning,
         "chains": config.chains,
-        "proposal": config.proposal,
         "max_consecutive_rejections": int(max_consec),
         "stalled": stalled,
     }

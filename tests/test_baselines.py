@@ -36,9 +36,6 @@ class TestAnalyticBelief:
         b0 = AnalyticHybridBelief.from_scenario(oracle_small)
         b1 = b0.update(history.actions[0], history.batches[0])
         assert (b0.k, b1.k) == (0, 1)
-        assert b0.evidence_trace == []
-        assert len(b1.evidence_trace) == 1
-        assert_allclose(b1.evidence_trace[-1], b1.log_evidences(), rtol=1e-12)
 
     def test_wrong_batch_t_raises(self, oracle_small, seeded_history):
         _, history, _, _, _ = seeded_history
@@ -142,12 +139,6 @@ class TestPrune:
         _, _, _, analytic, _ = seeded_history
         with pytest.raises(ValueError):
             analytic.prune(keep=0)
-
-    def test_trace_is_sliced_with_hypotheses(self, seeded_history):
-        _, _, _, analytic, _ = seeded_history
-        pruned = analytic.prune(keep=2)
-        assert len(pruned.evidence_trace) == len(analytic.evidence_trace)
-        assert all(ev.shape == (2,) for ev in pruned.evidence_trace)
 
 
 class TestParticleFilter:

@@ -12,11 +12,8 @@ from semgeo.estimators import (
     estimate_structured,
     expected_cost,
     explicit_values,
-    hoeffding_failure_bound,
-    hoeffding_samples,
     is_mse_lower_bound,
     make_context,
-    posterior_mse_bound,
     rao_blackwell_gap,
     reward_at_labels,
     rollout_states,
@@ -285,12 +282,6 @@ class TestMseBounds:
         got = is_mse_lower_bound(prior, prior, gbar, 50)
         assert got == pytest.approx(3 * var / 50)
 
-    def test_posterior_bound_is_plain_variance(self):
-        post = np.array([0.6, 0.3, 0.1])
-        gbar = np.array([0.0, 1.0, 2.0])
-        var = post @ (gbar - post @ gbar) ** 2
-        assert posterior_mse_bound(post, gbar, 200) == pytest.approx(var / 200)
-
     def test_uniform_proposal_pays_the_count_factor(self):
         """Uniform hypothesis proposals cost exactly |C-space| times the
         best-case posterior-matched floor, which is the collapse mechanism
@@ -300,7 +291,7 @@ class TestMseBounds:
         post = rng.dirichlet(np.full(k, 0.2))
         gbar = rng.normal(size=k)
         uniform = is_mse_lower_bound(post, np.full(k, 1 / k), gbar, 100)
-        floor = posterior_mse_bound(post, gbar, 100)
+        floor = post @ (gbar - post @ gbar) ** 2 / 100
         assert uniform == pytest.approx(k * floor, rel=1e-12)
 
     def test_support_coverage_enforced(self):
@@ -308,12 +299,6 @@ class TestMseBounds:
             is_mse_lower_bound(
                 np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 10
             )
-
-    def test_hoeffding_pair(self):
-        n = hoeffding_samples(0.1, 0.05)
-        assert n == 185
-        assert hoeffding_failure_bound(n, 0.1) <= 0.05
-        assert hoeffding_failure_bound(n - 1, 0.1) > 0.0499
 
 
 class TestRaoBlackwellGap:

@@ -1,14 +1,9 @@
-"""Backend parity and brute-force cross-checks for the hot kernels."""
+"""Brute-force cross-checks for the hot kernels."""
 
 import numpy as np
-import pytest
 
 from semgeo import _kernels
 from semgeo.scenario import LOG_2PI
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_AVAILABLE, reason="numba not installed"
-)
 
 
 def random_table_args(rng, ns=64, n_obj=3, n_cls=4, m=9):
@@ -28,7 +23,7 @@ class TestClassLogTables:
     def test_matches_naive_python(self, rng):
         args = random_table_args(rng, ns=8, m=5)
         samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, s2 = args
-        out = _kernels._class_log_tables_np(*args)
+        out = _kernels.class_log_tables(*args)
         expect = np.tile(log_prior, (8, 1, 1))
         for i in range(8):
             for j in range(5):
@@ -45,34 +40,27 @@ class TestClassLogTables:
 
     def test_no_observations_returns_prior(self, rng):
         args = random_table_args(rng, ns=4, m=0)
-        out = _kernels._class_log_tables_np(*args)
+        out = _kernels.class_log_tables(*args)
         np.testing.assert_array_equal(out, np.tile(args[5], (4, 1, 1)))
-
-    @needs_numba
-    def test_backend_parity(self, rng):
-        args = random_table_args(rng, ns=200, m=12)
-        a = _kernels._class_log_tables_np(*args)
-        b = _kernels._class_log_tables_nb(*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestMhScan:
     def test_always_accept_when_target_increases(self):
         log_t = np.arange(5.0)
-        take, accepts, streak = _kernels._mh_scan_np(log_t, np.full(5, -1e-12))
+        take, accepts, streak = _kernels.mh_scan(log_t, np.full(5, -1e-12))
         np.testing.assert_array_equal(take, [0, 1, 2, 3, 4])
         assert accepts == 4 and streak == 0
 
     def test_never_accept_when_target_drops(self):
         log_t = -np.arange(5.0)
-        take, accepts, streak = _kernels._mh_scan_np(log_t, np.zeros(5))
+        take, accepts, streak = _kernels.mh_scan(log_t, np.zeros(5))
         np.testing.assert_array_equal(take, [0, 0, 0, 0, 0])
         assert accepts == 0 and streak == 4
 
     def test_matches_explicit_chain(self, rng):
         log_t = rng.normal(size=300)
         log_u = np.log(rng.random(300))
-        take, accepts, streak = _kernels._mh_scan_np(log_t, log_u)
+        take, accepts, streak = _kernels.mh_scan(log_t, log_u)
         cur, n_acc = 0, 0
         for t in range(1, 300):
             if log_u[t] < log_t[t] - log_t[cur]:
@@ -80,22 +68,13 @@ class TestMhScan:
             assert take[t] == cur
         assert accepts == n_acc
 
-    @needs_numba
-    def test_backend_parity(self, rng):
-        log_t = rng.normal(size=1000)
-        log_u = np.log(rng.random(1000))
-        a = _kernels._mh_scan_np(log_t, log_u)
-        b = _kernels._mh_scan_nb(log_t, log_u)
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1:] == b[1:]
-
 
 class TestSafetyProducts:
     def test_matches_bruteforce(self, rng):
         future = rng.normal(size=(50, 6, 2)) * 3
         objects = rng.normal(size=(50, 2, 2)) * 3
         radii = np.array([0.0, 1.0, 2.5])
-        out = _kernels._safety_products_np(future, objects, radii)
+        out = _kernels.safety_products(future, objects, radii)
         d = np.linalg.norm(future[:, None, :, :] - objects[:, :, None, :], axis=3)
         expect = (d.min(axis=2)[:, :, None] > radii[None, None, :]).astype(float)
         np.testing.assert_array_equal(out, expect)
@@ -103,11 +82,11 @@ class TestSafetyProducts:
     def test_zero_radius_never_blocks(self, rng):
         future = rng.normal(size=(20, 4, 2))
         objects = rng.normal(size=(20, 3, 2))
-        out = _kernels._safety_products_np(future, objects, np.zeros(2))
+        out = _kernels.safety_products(future, objects, np.zeros(2))
         np.testing.assert_array_equal(out, 1.0)
 
     def test_empty_future_is_safe(self, rng):
-        out = _kernels._safety_products_np(
+        out = _kernels.safety_products(
             np.empty((7, 0, 2)), rng.normal(size=(7, 2, 2)), np.array([0.0, 9.0])
         )
         np.testing.assert_array_equal(out, 1.0)
@@ -116,39 +95,14 @@ class TestSafetyProducts:
         """Distance exactly equal to the radius counts as a violation."""
         future = np.array([[[1.0, 0.0]]])
         objects = np.array([[[0.0, 0.0]]])
-        out = _kernels._safety_products_np(future, objects, np.array([1.0]))
+        out = _kernels.safety_products(future, objects, np.array([1.0]))
         np.testing.assert_array_equal(out, 0.0)
-        out = _kernels._safety_products_np(
+        out = _kernels.safety_products(
             future, objects, np.array([1.0 - 1e-9])
         )
         np.testing.assert_array_equal(out, 1.0)
 
-    @needs_numba
-    def test_backend_parity(self, rng):
-        future = rng.normal(size=(120, 5, 2)) * 2
-        objects = rng.normal(size=(120, 3, 2)) * 2
-        radii = np.array([0.0, 0.8, 1.6, 2.4])
-        a = _kernels._safety_products_np(future, objects, radii)
-        b = _kernels._safety_products_nb(future, objects, radii)
-        np.testing.assert_array_equal(a, b)
-
 
 class TestBackendSelection:
-    def test_flag_parsing(self):
-        assert _kernels._flag("SEMGEO_TEST_UNSET", "1") is True
-        assert _kernels._flag("SEMGEO_TEST_UNSET", "0") is False
-
-    def test_dispatchers_follow_flag(self, rng, monkeypatch):
-        args = random_table_args(rng, ns=16, m=4)
-        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-        base = _kernels.class_log_tables(*args)
-        np.testing.assert_array_equal(base, _kernels._class_log_tables_np(*args))
-        if _kernels.NUMBA_AVAILABLE:
-            monkeypatch.setattr(_kernels, "USE_NUMBA", True)
-            np.testing.assert_allclose(
-                _kernels.class_log_tables(*args), base, rtol=1e-12
-            )
-
     def test_backend_name(self):
-        assert _kernels.backend() in ("numba", "numpy")
-        assert _kernels.backend() == ("numba" if _kernels.USE_NUMBA else "numpy")
+        assert _kernels.backend() == "numpy"
