@@ -173,10 +173,6 @@ class HybridBelief:
     def index(self) -> StackedIndex:
         return self.geo.index
 
-    @property
-    def n_semantic_obs(self) -> int:
-        return len(self.sem_obj)
-
     def update(self, action: np.ndarray, batch: ObservationBatch) -> "HybridBelief":
         """Condition on one motion step and its observation batch."""
         if batch.t != self.k + 1:

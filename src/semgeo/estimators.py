@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .belief import enumerate_labels
 from .gaussian import StackedIndex
-from .samplers import WeightedStateSet, log_ess
+from .samplers import WeightedStateSet
 from .scenario import Scenario
 
 
@@ -141,7 +141,7 @@ def _weighted_report(values, state_set, method=None, extras=None) -> EstimateRep
         value=value,
         std_error=std_error,
         n_samples=len(state_set),
-        ess=log_ess(state_set.log_weights),
+        ess=state_set.ess,
         method=method or state_set.method,
         extras=extras or {},
     )

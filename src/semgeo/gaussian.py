@@ -248,9 +248,3 @@ class GaussianFactorGraph:
         q = np.einsum("ij,jk,ik->i", xb, self._H, xb)
         out = self._log_const + xb @ self._theta - 0.5 * q
         return float(out[0]) if single else out
-
-    def marginal_moments(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Marginal (mean, cov) over a subset of state indices."""
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        mean, cov = self.posterior_moments()
-        return mean[cols], cov[np.ix_(cols, cols)]

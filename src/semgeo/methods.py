@@ -238,6 +238,7 @@ class _MapMethod:
         self.scenario = scenario
         self.tag = "gs-map"
         self.belief = HybridBelief.from_scenario(scenario)
+        self._step_cache = {}
 
     @property
     def k(self) -> int:
@@ -245,19 +246,23 @@ class _MapMethod:
 
     def update(self, action, batch, rng=None) -> None:
         self.belief = self.belief.update(action, batch)
+        self._step_cache = {}
 
     def pose_mean(self) -> np.ndarray:
         return self.belief.geo.mean[self.belief.index.pose_slice(self.belief.k)]
 
     def _point_set(self, n_samples: int) -> WeightedStateSet:
-        x_map, labels = gs_map_estimate(self.belief)
-        return WeightedStateSet(
-            samples=np.tile(x_map, (n_samples, 1)),
-            log_weights=np.zeros(n_samples),
-            index=self.belief.index,
-            labels=np.tile(labels, (n_samples, 1)),
-            method=self.tag,
-        )
+        key = n_samples
+        if key not in self._step_cache:
+            x_map, labels = gs_map_estimate(self.belief)
+            self._step_cache[key] = WeightedStateSet(
+                samples=np.tile(x_map, (n_samples, 1)),
+                log_weights=np.zeros(n_samples),
+                index=self.belief.index,
+                labels=np.tile(labels, (n_samples, 1)),
+                method=self.tag,
+            )
+        return self._step_cache[key]
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
         sset = self._point_set(n_samples)

@@ -15,8 +15,9 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import yen
 from scipy.spatial import cKDTree
 
 from .estimators import OpenLoopPlan
@@ -41,7 +42,7 @@ class PlannerConfig:
 @dataclass
 class Roadmap:
     nodes: np.ndarray  # (m, 2); node 0 is the source, node 1 the goal
-    graph: nx.Graph
+    edges: csr_array  # (m, m) symmetric edge lengths, int32 indices
 
     @property
     def source(self) -> int:
@@ -62,32 +63,32 @@ def build_roadmap(
     (x0, x1), (y0, y1) = scenario.workspace
     free = rng.uniform([x0, y0], [x1, y1], size=(config.n_nodes, 2))
     nodes = np.vstack([np.asarray(source, dtype=float).reshape(1, 2), scenario.goal[None, :], free])
-    tree = cKDTree(nodes)
-    k = min(config.k_nearest + 1, len(nodes))
-    dists, nbrs = tree.query(nodes, k=k)
-    g = nx.Graph()
-    g.add_nodes_from(range(len(nodes)))
-    for i in range(len(nodes)):
-        for d, j in zip(dists[i, 1:], nbrs[i, 1:]):
-            if np.isfinite(d):
-                g.add_edge(i, int(j), length=float(d))
-    return Roadmap(nodes=nodes, graph=g)
+    m = len(nodes)
+    k = min(config.k_nearest + 1, m)
+    dists, nbrs = cKDTree(nodes).query(nodes, k=k)
+    rows = np.repeat(np.arange(m, dtype=np.int32), k - 1)
+    cols = nbrs[:, 1:].ravel().astype(np.int32)
+    lengths = dists[:, 1:].ravel()
+    ok = np.isfinite(lengths)
+    knn = csr_array((lengths[ok], (rows[ok], cols[ok])), shape=(m, m))
+    # Mutual neighbours hold the same length both ways, so the maximum keeps
+    # it; summing both directions would double it.
+    return Roadmap(nodes=nodes, edges=knn.maximum(knn.T))
 
 
 def k_shortest_paths(roadmap: Roadmap, n_paths: int) -> list:
-    """Up to n_paths loopless paths source-to-goal, ordered by total length."""
-    try:
-        gen = nx.shortest_simple_paths(
-            roadmap.graph, roadmap.source, roadmap.goal, weight="length"
-        )
-        paths = []
-        for path in gen:
-            paths.append(list(path))
-            if len(paths) >= n_paths:
-                break
-        return paths
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        return []
+    """Up to n_paths loopless paths source-to-goal, ordered by total length
+    (Yen's algorithm)."""
+    _, preds = yen(
+        roadmap.edges, roadmap.source, roadmap.goal, n_paths, return_predecessors=True
+    )
+    paths = []
+    for row in preds:
+        path = [roadmap.goal]
+        while path[-1] != roadmap.source:
+            path.append(int(row[path[-1]]))
+        paths.append(path[::-1])
+    return paths
 
 
 def discretize(waypoints: np.ndarray, max_step: float) -> np.ndarray:

@@ -40,18 +40,28 @@ class WeightedStateSet:
     labels: np.ndarray | None = None  # (n, n_objects) 0-based
     method: str = "custom"
     diagnostics: dict = field(default_factory=dict)
+    # Normalized weights and ESS, computed on first read: every report on
+    # the set reads them, and a set serves many plans at one step.  Not an
+    # init field, so dataclasses.replace starts a copy with an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
 
     @property
     def weights(self) -> np.ndarray:
-        lw = self.log_weights - logsumexp(self.log_weights)
-        return np.exp(lw)
+        """Self-normalized weights (read-only)."""
+        if "weights" not in self._memo:
+            w = np.exp(self.log_weights - logsumexp(self.log_weights))
+            w.flags.writeable = False
+            self._memo["weights"] = w
+        return self._memo["weights"]
 
     @property
     def ess(self) -> float:
-        return log_ess(self.log_weights)
+        if "ess" not in self._memo:
+            self._memo["ess"] = log_ess(self.log_weights)
+        return self._memo["ess"]
 
 
 @dataclass(frozen=True)

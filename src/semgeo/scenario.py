@@ -185,10 +185,6 @@ class Scenario:
         except TypeError as exc:
             raise ScenarioError(f"bad scenario fields: {exc}") from exc
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
     @classmethod
     def from_json(cls, path) -> "Scenario":
         with open(path, encoding="utf-8") as fh:

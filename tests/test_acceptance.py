@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 from scipy.special import logsumexp
 

@@ -13,7 +13,7 @@ from semgeo.belief import (
     enumerate_labels,
     n_hypotheses,
 )
-from semgeo.scenario import ObservationBatch, ScenarioError, observe, simulate, trial_streams
+from semgeo.scenario import ObservationBatch, ScenarioError, simulate, trial_streams
 
 
 class TestCodec:
@@ -93,8 +93,6 @@ class TestUpdate:
         b0 = HybridBelief.from_scenario(oracle_small)
         b1 = b0.update(history.actions[0], history.batches[0])
         assert (b0.k, b1.k) == (0, 1)
-        assert b0.n_semantic_obs == 0
-        assert b1.n_semantic_obs == oracle_small.n_objects
         assert b1.geo.dim == b0.geo.dim + 2
 
     def test_update_rejects_wrong_time_index(self, oracle_small):

@@ -6,12 +6,12 @@ import pytest
 from semgeo.belief import enumerate_labels
 from semgeo.estimators import (
     OpenLoopPlan,
+    _weighted_report,
     estimate_explicit_c,
     estimate_p_safe,
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,
-    explicit_values,
     is_mse_lower_bound,
     make_context,
     rao_blackwell_gap,
@@ -20,7 +20,7 @@ from semgeo.estimators import (
 )
 from semgeo.gaussian import StackedIndex
 from semgeo.oracles import random_structured_reward
-from semgeo.samplers import WeightedStateSet, complete_hypotheses, snis_sample
+from semgeo.samplers import WeightedStateSet, complete_hypotheses, log_ess, snis_sample
 from semgeo.scenario import Scenario
 
 
@@ -240,6 +240,16 @@ class TestSafety:
             values.append(estimate_p_safe(sset, rollout, sc, probs, plan).value)
         assert values[0] >= values[1] >= values[2]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+
+class TestReport:
+    def test_ess_is_the_state_sets(self, rng):
+        sset = WeightedStateSet(
+            samples=rng.normal(size=(30, 4)), log_weights=rng.normal(size=30), index=None
+        )
+        report = _weighted_report(rng.random(30), sset)
+        assert report.ess == log_ess(sset.log_weights)
+        assert report.n_samples == 30
 
 
 class TestCost:

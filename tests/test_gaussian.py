@@ -132,13 +132,6 @@ class TestGraphQueries:
         )
         np.testing.assert_allclose(g.log_density(x), direct, rtol=1e-9)
 
-    def test_marginal_moments_are_submatrices(self):
-        g = self.problem_graph()
-        mean, cov = g.posterior_moments()
-        m, c = g.marginal_moments([1, 3])
-        np.testing.assert_array_equal(m, mean[[1, 3]])
-        np.testing.assert_array_equal(c, cov[np.ix_([1, 3], [1, 3])])
-
     def test_copy_is_independent(self):
         g = self.problem_graph()
         h = g.copy()

@@ -8,9 +8,9 @@ estimators with the exhaustive reference.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from semgeo.estimators import EstimateReport, OpenLoopPlan
+import semgeo.methods as methods_mod
+from semgeo.estimators import EstimateReport, OpenLoopPlan, safety_reward
 from semgeo.methods import METHOD_TAGS, create_method
 from semgeo.scenario import ScenarioError
 
@@ -63,6 +63,36 @@ class TestSharedContract:
         method.update(history.actions[0], history.batches[0], rng)
         with pytest.raises(ScenarioError, match="batch.t"):
             method.update(history.actions[0], history.batches[0], rng)
+
+    @pytest.mark.parametrize(
+        "tag, options",
+        [(tag, {}) for tag in METHOD_TAGS]
+        + [("theoretical-all-hyp", {"fast_conditional": True})],
+    )
+    def test_reward_route_matches_estimate(self, tag, options, oracle_small, seeded_history):
+        """estimate_reward with the safety reward makes the same draws and
+        gives the same value as estimate's p_safe (the harness reference
+        relies on it)."""
+        _, history, _, _, _ = seeded_history
+        a, rng_a = advanced(tag, oracle_small, history, **options)
+        b, rng_b = advanced(tag, oracle_small, history, **options)
+        via_reward = a.estimate_reward(safety_reward(oracle_small), PLAN, 60, rng_a)
+        assert via_reward.value == b.estimate(PLAN, 60, rng_b)["p_safe"].value
+
+    def test_gs_map_builds_one_point_set_per_step(self, oracle_small, seeded_history, monkeypatch):
+        _, history, _, _, _ = seeded_history
+        calls = []
+        original = methods_mod.gs_map_estimate
+        monkeypatch.setattr(
+            methods_mod, "gs_map_estimate", lambda b: calls.append(b.k) or original(b)
+        )
+        method = create_method("gs-map", oracle_small)
+        rng = np.random.default_rng(17)
+        for action, batch in zip(history.actions, history.batches):
+            method.update(action, batch, rng)
+            for _ in range(3):
+                method.estimate(PLAN, 60, rng)
+        assert calls == list(range(1, len(history.batches) + 1))
 
 
 class TestPruning:

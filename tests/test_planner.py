@@ -5,10 +5,13 @@ blocks: geometry and bookkeeping can then be asserted exactly.  The planning
 behavior under real hypothesis ambiguity is exercised at the acceptance level.
 """
 
+from itertools import islice
+
 import numpy as np
-import networkx as nx
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_array
+from scipy.spatial import cKDTree
 
 import semgeo.planner as planner_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan
@@ -66,8 +69,16 @@ class TestRoadmap:
 
     def test_edge_lengths_are_euclidean(self, rng):
         rm = build_roadmap(open_scenario(), np.array([0.0, 0.0]), QUICK, rng)
-        for i, j, data in list(rm.graph.edges(data=True))[:20]:
-            assert_allclose(data["length"], np.linalg.norm(rm.nodes[i] - rm.nodes[j]), rtol=1e-12)
+        coo = rm.edges.tocoo()
+        assert coo.nnz >= QUICK.k_nearest * len(rm.nodes)
+        lengths = np.linalg.norm(rm.nodes[coo.row] - rm.nodes[coo.col], axis=1)
+        assert_allclose(coo.data, lengths, rtol=1e-12)
+
+    def test_edges_symmetric_with_int32_indices(self, rng):
+        rm = build_roadmap(open_scenario(), np.array([0.0, 0.0]), QUICK, rng)
+        assert rm.edges.indices.dtype == np.int32
+        assert rm.edges.indptr.dtype == np.int32
+        assert (rm.edges != rm.edges.T).nnz == 0
 
     def test_k_shortest_paths_ordered_and_loopless(self, rng):
         rm = build_roadmap(open_scenario(), np.array([0.0, 0.0]), QUICK, rng)
@@ -77,16 +88,41 @@ class TestRoadmap:
         for path in paths:
             assert path[0] == rm.source and path[-1] == rm.goal
             assert len(set(path)) == len(path)
-            lengths.append(
-                sum(rm.graph[a][b]["length"] for a, b in zip(path[:-1], path[1:]))
-            )
+            assert all(rm.edges[a, b] > 0 for a, b in zip(path[:-1], path[1:]))
+            lengths.append(sum(rm.edges[a, b] for a, b in zip(path[:-1], path[1:])))
         assert np.all(np.diff(lengths) >= -1e-12)
 
     def test_disconnected_goal_yields_no_paths(self):
-        g = nx.Graph()
-        g.add_nodes_from([0, 1])
-        rm = Roadmap(nodes=np.zeros((2, 2)), graph=g)
+        # the source (node 0) links to node 2 only; the goal (node 1) has no edge
+        rows, cols = np.array([0, 2], dtype=np.int32), np.array([2, 0], dtype=np.int32)
+        edges = csr_array((np.ones(2), (rows, cols)), shape=(3, 3))
+        rm = Roadmap(nodes=np.zeros((3, 2)), edges=edges)
         assert k_shortest_paths(rm, 3) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PlannerConfig(n_nodes=40, k_nearest=6, n_candidates=200),  # planning table
+            PlannerConfig(n_candidates=50),  # default roadmap: 150 nodes, k=8
+        ],
+        ids=["planning-table", "default-roadmap"],
+    )
+    def test_paths_match_networkx(self, config, planning_scenario):
+        """Same paths in the same order as networkx's Yen over a graph built
+        edge by edge from the k-nearest query."""
+        nx = pytest.importorskip("networkx")
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rm = build_roadmap(planning_scenario, planning_scenario.robot_prior_mean, config, rng)
+            dists, nbrs = cKDTree(rm.nodes).query(rm.nodes, k=config.k_nearest + 1)
+            g = nx.Graph()
+            g.add_nodes_from(range(len(rm.nodes)))
+            for i in range(len(rm.nodes)):
+                for d, j in zip(dists[i, 1:], nbrs[i, 1:]):
+                    g.add_edge(i, int(j), length=float(d))
+            gen = nx.shortest_simple_paths(g, rm.source, rm.goal, weight="length")
+            expected = list(islice(gen, config.n_candidates))
+            assert k_shortest_paths(rm, config.n_candidates) == expected
 
 
 class TestDiscretize:

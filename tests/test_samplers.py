@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import semgeo.samplers as samplers_mod
 from semgeo.samplers import (
-    DegenerateWeightsError,
     McmcConfig,
     WeightedStateSet,
     complete_hypotheses,
@@ -38,6 +38,19 @@ class TestEss:
         )
         assert sset.weights.sum() == pytest.approx(1.0, rel=1e-12)
         assert len(sset) == 9
+
+    def test_weights_and_ess_computed_once(self, rng, monkeypatch):
+        sset = WeightedStateSet(
+            samples=rng.normal(size=(9, 4)), log_weights=rng.normal(size=9), index=None
+        )
+        assert sset.weights is sset.weights
+        assert not sset.weights.flags.writeable
+        with pytest.raises(ValueError):
+            sset.weights[0] = 1.0
+        calls = []
+        monkeypatch.setattr(samplers_mod, "log_ess", lambda lw: calls.append(lw) or log_ess(lw))
+        assert sset.ess == sset.ess == log_ess(sset.log_weights)
+        assert len(calls) == 1
 
 
 class TestMcmcConfig:
@@ -142,6 +155,15 @@ class TestMechanics:
         np.testing.assert_array_equal(pairs.log_weights, sset.log_weights)
         assert pairs.labels.shape == (100, hybrid.scenario.n_objects)
         assert pairs.diagnostics["completion"] == "factored-conditional"
+
+    def test_completion_starts_a_fresh_memo(self, seeded_history):
+        _, _, hybrid, _, streams = seeded_history
+        sset = snis_sample(hybrid, 100, streams.sampler)
+        weights = sset.weights
+        pairs = complete_hypotheses(hybrid, sset, streams.sampler)
+        assert pairs.weights is not weights
+        np.testing.assert_array_equal(pairs.weights, weights)
+        assert pairs.ess == sset.ess
 
     def test_reproducible_given_stream(self, seeded_history):
         _, _, hybrid, _, _ = seeded_history

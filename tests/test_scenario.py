@@ -80,15 +80,6 @@ class TestSerialization:
         np.testing.assert_array_equal(back.actions, oracle_small.actions)
         assert back.sigma2_obs == oracle_small.sigma2_obs
 
-    def test_json_roundtrip(self, oracle_small, tmp_path):
-        path = tmp_path / "scenario.json"
-        oracle_small.to_json(path)
-        back = Scenario.from_json(path)
-        np.testing.assert_array_equal(
-            back.object_prior_covs, oracle_small.object_prior_covs
-        )
-        np.testing.assert_array_equal(back.unsafe_radius, oracle_small.unsafe_radius)
-
     def test_shipped_defaults_keep_reference_values(self, defaults_scenario):
         """The stock scenario uses the documented noise and scale settings."""
         assert defaults_scenario.sigma2_obs == 5.0
