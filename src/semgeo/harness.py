@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .estimators import OpenLoopPlan, safety_reward
+from .estimators import OpenLoopPlan
 from .methods import METHOD_TAGS, create_method
 from .planner import PlannerConfig, run_planning_trial
 from .scenario import (
@@ -232,7 +232,6 @@ def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> 
     }
     reference = _reference_method(scenario)
     ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
-    safety = safety_reward(scenario)
     rows = []
     for step, (action, batch) in enumerate(zip(history.actions, history.batches), 1):
         for m in methods.values():
@@ -240,9 +239,9 @@ def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> 
         reference.update(action, batch)
         if cfg.kind == "psafe-vs-time":
             plan = _eval_plan(scenario, step, cfg.eval_horizon)
-            ref_val = reference.estimate_reward(
-                safety, plan, cfg.reference_samples, ref_rng
-            ).value
+            ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)[
+                "p_safe"
+            ].value
             for tag, m in methods.items():
                 t0 = time.perf_counter()
                 est = m.estimate(plan, cfg.n_samples, streams.sampler)["p_safe"]
@@ -261,9 +260,9 @@ def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> 
                 )
     if cfg.kind == "rmse-vs-samples":
         plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-        ref_val = reference.estimate_reward(
-            safety, plan, cfg.reference_samples, ref_rng
-        ).value
+        ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)[
+            "p_safe"
+        ].value
         for n_s in cfg.sweep["n_samples"]:
             for tag, m in methods.items():
                 t0 = time.perf_counter()
@@ -305,9 +304,7 @@ def _size_sweep_trial(
             update_wall[tag] += time.perf_counter() - t0
         reference.update(action, batch)
     plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-    ref_val = reference.estimate_reward(
-        safety_reward(scenario), plan, cfg.reference_samples, ref_rng
-    ).value
+    ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
     rows = []
     for tag, m in methods.items():
         t0 = time.perf_counter()
