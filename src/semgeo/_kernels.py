@@ -127,10 +127,16 @@ def safety_products(future_xy, object_xy, radii):
     if n_t == 0:
         out[:] = 1.0
         return out
+    fx = future_xy[:, :, 0]
+    fy = future_xy[:, :, 1]
     for lo in range(0, ns, _CHUNK):
         hi = min(lo + _CHUNK, ns)
-        diff = future_xy[lo:hi, None, :, :] - object_xy[lo:hi, :, None, :]
-        d2 = np.einsum("intk,intk->int", diff, diff)
-        min_d2 = d2.min(axis=2)  # (b, n_obj)
-        out[lo:hi] = (min_d2[:, :, None] > r2[None, None, :]).astype(np.float64)
+        for n in range(n_obj):
+            # squared distances on the x/y planes, (b, n_future)
+            dx = fx[lo:hi] - object_xy[lo:hi, n, 0:1]
+            dy = fy[lo:hi] - object_xy[lo:hi, n, 1:2]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.greater(dx.min(axis=1)[:, None], r2[None, :], out=out[lo:hi, n, :])
     return out

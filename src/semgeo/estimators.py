@@ -70,10 +70,13 @@ def rollout_states(
     h = plan.horizon
     if h == 0:
         return FutureRollout(poses=np.empty((n, 0, 2)))
-    steps = plan.actions[None, :, :] + rng.normal(
-        0.0, math.sqrt(scenario.sigma2_x), size=(n, h, 2)
-    )
-    return FutureRollout(poses=x[:, None, :] + np.cumsum(steps, axis=1))
+    # rng.normal(0, s) is 0.0 + s * standard_normal: same draws, same values
+    steps = rng.standard_normal(size=(n, h, 2))
+    steps *= math.sqrt(scenario.sigma2_x)
+    steps += plan.actions
+    np.cumsum(steps, axis=1, out=steps)
+    steps += x[:, None, :]
+    return FutureRollout(poses=steps)
 
 
 @dataclass
@@ -147,9 +150,15 @@ def _weighted_report(values, state_set, method=None, extras=None) -> EstimateRep
     )
 
 
+def _sums_near_one(sums: np.ndarray) -> bool:
+    """np.allclose(sums, 1.0, atol=1e-6) without its overhead: the same
+    |sum - 1| <= atol + rtol * 1 test, and NaN or inf sums still fail."""
+    return bool(np.all(np.abs(sums - 1.0) <= 1e-6 + 1e-5))
+
+
 def _check_rows_normalized(class_probs: np.ndarray) -> None:
     sums = class_probs.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
+    if not _sums_near_one(sums):
         raise ValueError(
             "class_probs rows must sum to 1 (auto-marginalization of untouched "
             f"objects is invalid otherwise); max deviation {np.abs(sums - 1).max():.3g}"
@@ -263,10 +272,8 @@ def estimate_explicit_c(
         joint_probs = np.ones((len(state_set), len(labels_enum)))
         for obj in range(scenario.n_objects):
             joint_probs *= class_probs[:, obj, labels_enum[:, obj]]
-    else:
-        sums = joint_probs.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
-            raise ValueError("joint_probs rows must sum to 1")
+    elif not _sums_near_one(joint_probs.sum(axis=1)):
+        raise ValueError("joint_probs rows must sum to 1")
     values = np.einsum("ih,ih->i", joint_probs, explicit_values(reward, ctx, labels_enum))
     return _weighted_report(values, state_set)
 
@@ -307,6 +314,17 @@ def estimate_p_safe(
     )
 
 
+def _goal_distance(xy: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """|xy - goal| over the last axis; the same float as np.linalg.norm,
+    which is sqrt(add.reduce(d * d)) and so sqrt(dx*dx + dy*dy)."""
+    dx = xy[..., 0] - goal[0]
+    dy = xy[..., 1] - goal[1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def expected_cost(state_set, rollout, plan, scenario) -> EstimateReport:
     """Expected sum over plan steps of distance-to-goal plus action effort.
 
@@ -314,11 +332,9 @@ def expected_cost(state_set, rollout, plan, scenario) -> EstimateReport:
     over t = k .. L, plus the deterministic sum of action norms.
     """
     x_now = state_set.index.current_pose(state_set.samples)
-    dist = np.linalg.norm(x_now - scenario.goal[None, :], axis=1)
+    dist = _goal_distance(x_now, scenario.goal)
     if rollout.poses.shape[1]:
-        dist = dist + np.linalg.norm(
-            rollout.poses - scenario.goal[None, None, :], axis=2
-        ).sum(axis=1)
+        dist = dist + _goal_distance(rollout.poses, scenario.goal).sum(axis=1)
     action_cost = float(np.linalg.norm(plan.actions, axis=1).sum())
     report = _weighted_report(dist + action_cost, state_set)
     report.extras["action_cost"] = action_cost

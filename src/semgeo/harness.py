@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -61,6 +61,15 @@ PLANNING_COLUMNS = (
     "dist_to_goal",
     "traj_len",
     "wall_ms",
+)
+
+
+# PlannerConfig fields a config's `planner` object may set; the harness fills
+# n_samples and method_options from the top level itself.
+_PLANNER_KEYS = tuple(
+    f.name
+    for f in fields(PlannerConfig)
+    if f.name not in ("n_samples", "method_options")
 )
 
 
@@ -162,6 +171,14 @@ class ExperimentConfig:
                     f"scenario.actions has {len(self.scenario.actions)} steps, "
                     f"need n_steps + eval_horizon = {need}"
                 )
+        if not isinstance(self.planner, dict):
+            raise ConfigError("planner must be an object of PlannerConfig fields")
+        unknown = sorted(set(self.planner) - set(_PLANNER_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown planner keys {unknown}; known: {list(_PLANNER_KEYS)} "
+                "(n_samples and method_options are set from the top level)"
+            )
 
     def method_options(self, tag: str) -> dict:
         if tag.startswith("pf-"):

@@ -17,6 +17,7 @@ from semgeo.estimators import (
     rao_blackwell_gap,
     reward_at_labels,
     rollout_states,
+    safety_reward,
 )
 from semgeo.gaussian import StackedIndex
 from semgeo.oracles import random_structured_reward
@@ -46,6 +47,16 @@ def point_scenario(n_objects, n_classes, radii, objects):
         sigma2_obs=1.0,
         sigma2_x=1e-12,
         unsafe_radius=radii,
+    )
+
+
+def random_state_set(rng, n):
+    """n random samples at step 2 with one object, random log-weights."""
+    index = StackedIndex(n_objects=1, n_steps=2)
+    return WeightedStateSet(
+        samples=rng.normal(size=(n, index.dim)) * 4,
+        log_weights=rng.normal(size=n),
+        index=index,
     )
 
 
@@ -82,6 +93,24 @@ class TestPlanAndRollout:
         roll = rollout_states(sset, plan, sc, np.random.default_rng(0))
         var = roll.poses.var(axis=0).mean(axis=1)
         np.testing.assert_allclose(var, 0.25 * np.arange(1, 5), rtol=0.05)
+
+
+    def test_rollout_draws_the_normal_stream(self):
+        """Poses and the generator state after the call are those of one
+        rng.normal(0, sqrt(sigma2_x), (n, h, 2)) draw; golden outputs
+        depend on this stream."""
+        sc = point_scenario(1, 2, [0.0, 1.0], [[5.0, 5.0]])
+        sc.sigma2_x = 0.3
+        sset = random_state_set(np.random.default_rng(5), 37)
+        plan = OpenLoopPlan(np.random.default_rng(6).normal(size=(5, 2)))
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            poses = rollout_states(sset, plan, sc, rng).poses
+            noise = ref_rng.normal(0.0, np.sqrt(sc.sigma2_x), size=(37, 5, 2))
+            x = sset.index.current_pose(sset.samples)
+            expect = x[:, None, :] + np.cumsum(plan.actions[None] + noise, axis=1)
+            np.testing.assert_array_equal(poses, expect)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEstimatorAgreement:
@@ -163,6 +192,35 @@ class TestGuards:
             estimate_structured(
                 sset, rollout, reward, oracle_small, probs * 0.9
             )
+
+    @pytest.mark.parametrize("route", ["class_probs", "joint_probs"])
+    def test_row_sum_tolerance(self, rng, route):
+        """Both row-sum guards give np.allclose(sums, 1, atol=1e-6)'s verdict:
+        rows off by 1e-5 pass, rows off by 2e-5 or NaN rows do not."""
+        objects = [[3.0, 0.0], [0.0, 3.0]]
+        sc = point_scenario(2, 2, [0.5, 1.0], objects)
+        sset = fixed_state_set([0.0, 0.0], objects)
+        rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
+        reward = safety_reward(sc)
+
+        def estimate(offset):
+            if route == "class_probs":
+                probs = np.full((len(sset), 2, 2), 0.5)
+                probs[:, :, 0] += offset
+                return estimate_structured(sset, rollout, reward, sc, probs)
+            joint = np.full((len(sset), 4), 0.25)
+            joint[:, 0] += offset
+            return estimate_explicit_c(
+                sset, rollout, reward, sc,
+                joint_probs=joint, labels_enum=enumerate_labels(2, 2),
+            )
+
+        assert np.allclose(1.0 + 1e-5, 1.0, atol=1e-6)
+        assert np.isfinite(estimate(1e-5).value)
+        for offset in (2e-5, np.nan):
+            assert not np.allclose(1.0 + offset, 1.0, atol=1e-6)
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                estimate(offset)
 
     def test_hypothesis_guard(self, seeded_history, oracle_small):
         _, _, hybrid, _, streams = seeded_history
@@ -273,6 +331,29 @@ class TestCost:
         rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
         est = expected_cost(sset, rollout, OpenLoopPlan.empty(), sc)
         np.testing.assert_allclose(est.value, 4.0, rtol=1e-12)
+
+
+    def test_matches_norm_expression(self):
+        """Same floats as the np.linalg.norm formulation, on random rollouts."""
+        rng = np.random.default_rng(9)
+        sc = point_scenario(1, 2, [0.0, 1.0], [[5.0, 5.0]])
+        sc.sigma2_x = 0.5
+        sc.goal = np.array([7.5, -2.25])
+        for n, h in [(200, 19), (33, 1), (10, 0)]:
+            sset = random_state_set(rng, n)
+            plan = OpenLoopPlan(rng.normal(size=(h, 2)))
+            rollout = rollout_states(sset, plan, sc, rng)
+            x_now = sset.index.current_pose(sset.samples)
+            dist = np.linalg.norm(x_now - sc.goal[None, :], axis=1)
+            if h:
+                dist = dist + np.linalg.norm(
+                    rollout.poses - sc.goal[None, None, :], axis=2
+                ).sum(axis=1)
+            action_cost = float(np.linalg.norm(plan.actions, axis=1).sum())
+            expect = _weighted_report(dist + action_cost, sset)
+            est = expected_cost(sset, rollout, plan, sc)
+            np.testing.assert_array_equal(est.value, expect.value)
+            np.testing.assert_array_equal(est.std_error, expect.std_error)
 
 
 class TestMseBounds:

@@ -89,6 +89,35 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="bad config field"):
             ExperimentConfig.from_dict(self.base(n_sample=10))
 
+    @pytest.mark.parametrize("key", ["bogus", "n_samples", "method_options"])
+    def test_unknown_planner_key(self, key):
+        """Keys PlannerConfig lacks, or that the harness sets itself, fail at
+        parse time instead of as a TypeError inside run_experiment."""
+        with pytest.raises(ConfigError, match=rf"unknown planner keys \['{key}'\]"):
+            ExperimentConfig.from_dict(
+                self.base(kind="planning-table", planner={"n_nodes": 30, key: 1})
+            )
+
+    def test_planner_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="planner must be an object"):
+            ExperimentConfig.from_dict(self.base(kind="planning-table", planner=[1]))
+
+    def test_every_settable_planner_field_parses(self):
+        planner = {
+            "n_nodes": 40,
+            "k_nearest": 6,
+            "n_candidates": 200,
+            "max_step": 1.0,
+            "safety_threshold": 0.95,
+            "goal_radius": 1.0,
+            "max_steps": 40,
+            "replan_every": 0,
+        }
+        cfg = ExperimentConfig.from_dict(
+            self.base(kind="planning-table", planner=planner)
+        )
+        assert cfg.planner == planner
+
     def test_invalid_scenario_dict_becomes_config_error(self, oracle_small):
         broken = oracle_small.to_dict()
         broken["sigma2_obs"] = -1.0

@@ -71,13 +71,16 @@ class TestMhScan:
 
 class TestSafetyProducts:
     def test_matches_bruteforce(self, rng):
-        future = rng.normal(size=(50, 6, 2)) * 3
-        objects = rng.normal(size=(50, 2, 2)) * 3
-        radii = np.array([0.0, 1.0, 2.5])
-        out = _kernels.safety_products(future, objects, radii)
-        d = np.linalg.norm(future[:, None, :, :] - objects[:, :, None, :], axis=3)
-        expect = (d.min(axis=2)[:, :, None] > radii[None, None, :]).astype(float)
-        np.testing.assert_array_equal(out, expect)
+        # 1-3 objects, and a sample count that crosses one _CHUNK boundary
+        cases = [(50, 6, 2), (40, 5, 1), (30, 4, 3), (_kernels._CHUNK + 7, 3, 2)]
+        for ns, n_t, n_obj in cases:
+            future = rng.normal(size=(ns, n_t, 2)) * 3
+            objects = rng.normal(size=(ns, n_obj, 2)) * 3
+            radii = np.array([0.0, 1.0, 2.5])
+            out = _kernels.safety_products(future, objects, radii)
+            d = np.linalg.norm(future[:, None, :, :] - objects[:, :, None, :], axis=3)
+            expect = (d.min(axis=2)[:, :, None] > radii[None, None, :]).astype(float)
+            np.testing.assert_array_equal(out, expect)
 
     def test_zero_radius_never_blocks(self, rng):
         future = rng.normal(size=(20, 4, 2))
