@@ -22,7 +22,6 @@ from .estimators import (
     RewardTerm,
     StructuredReward,
     estimate_explicit_c,
-    estimate_p_safe,
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,

@@ -304,16 +304,6 @@ def safety_reward(scenario: Scenario) -> StructuredReward:
     )
 
 
-def estimate_p_safe(
-    state_set, rollout, scenario, class_probs, plan=None
-) -> EstimateReport:
-    """P(all future poses avoid every object's unsafe disk) via the
-    structured path; bounded in [0, 1] by construction."""
-    return estimate_structured(
-        state_set, rollout, safety_reward(scenario), scenario, class_probs, plan
-    )
-
-
 def _goal_distance(xy: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """|xy - goal| over the last axis; the same float as np.linalg.norm,
     which is sqrt(add.reduce(d * d)) and so sqrt(dx*dx + dy*dy)."""

@@ -4,8 +4,8 @@ Fairness contract: within a trial every method consumes the byte-identical
 action/observation stream, generated once from the trial's noise substream;
 the stream hash is recorded in the summary.  Reference values come from the
 exact Gaussian-sum belief sampled at a large sample count (its conditional
-taken through the factored-table route, which is checked to be identical),
-never from the ground-truth world.
+taken through the factored-table route, which tests check agrees with the
+explicit hypothesis sum to 1e-9), never from the ground-truth world.
 
 Emitted metric rows share one schema across experiment kinds:
 trial, time_step, method, estimate, reference_value, squared_error,
@@ -236,110 +236,90 @@ def _eval_plan(scenario: Scenario, step: int, horizon: int) -> OpenLoopPlan:
     return OpenLoopPlan(scenario.actions[step : step + horizon])
 
 
-def _reference_method(scenario: Scenario):
-    return create_method("theoretical-all-hyp", scenario, fast_conditional=True)
-
-
-def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> list:
+def _trial_setup(cfg: ExperimentConfig, scenario: Scenario, trial: int):
+    """A trial's sampler rng, history and methods, plus the untimed reference
+    and the rng of its queries."""
     streams = trial_streams(cfg.seed, trial)
-    world, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
+    _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     methods = {
         tag: create_method(tag, scenario, **cfg.method_options(tag))
         for tag in cfg.methods
     }
-    reference = _reference_method(scenario)
+    reference = create_method("theoretical-all-hyp", scenario, fast_conditional=True)
     ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
+    return streams.sampler, history, methods, reference, ref_rng
+
+
+def _reference_value(cfg: ExperimentConfig, reference, plan, ref_rng) -> float:
+    return reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
+
+
+def _timed_row(method, plan, n_samples: int, rng, ref_val: float, extra_s=0.0, **where):
+    """One metric row: a p_safe query timed alone, plus extra_s seconds."""
+    t0 = time.perf_counter()
+    est = method.estimate(plan, n_samples, rng)["p_safe"]
+    wall = (time.perf_counter() - t0 + extra_s) * 1e3
+    return MetricRow(
+        method=method.tag,
+        estimate=est.value,
+        reference_value=ref_val,
+        squared_error=(est.value - ref_val) ** 2,
+        wall_ms=wall,
+        n_samples=n_samples,
+        **where,
+    )
+
+
+def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> list:
+    rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
     rows = []
     for step, (action, batch) in enumerate(zip(history.actions, history.batches), 1):
         for m in methods.values():
-            m.update(action, batch, streams.sampler)
+            m.update(action, batch, rng)
         reference.update(action, batch)
         if cfg.kind == "psafe-vs-time":
             plan = _eval_plan(scenario, step, cfg.eval_horizon)
-            ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)[
-                "p_safe"
-            ].value
-            for tag, m in methods.items():
-                t0 = time.perf_counter()
-                est = m.estimate(plan, cfg.n_samples, streams.sampler)["p_safe"]
-                wall = (time.perf_counter() - t0) * 1e3
+            ref_val = _reference_value(cfg, reference, plan, ref_rng)
+            for m in methods.values():
                 rows.append(
-                    MetricRow(
-                        trial=trial,
-                        time_step=step,
-                        method=tag,
-                        estimate=est.value,
-                        reference_value=ref_val,
-                        squared_error=(est.value - ref_val) ** 2,
-                        wall_ms=wall,
-                        n_samples=cfg.n_samples,
+                    _timed_row(
+                        m, plan, cfg.n_samples, rng, ref_val, trial=trial, time_step=step
                     )
                 )
     if cfg.kind == "rmse-vs-samples":
         plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-        ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)[
-            "p_safe"
-        ].value
-        for n_s in cfg.sweep["n_samples"]:
-            for tag, m in methods.items():
-                t0 = time.perf_counter()
-                est = m.estimate(plan, int(n_s), streams.sampler)["p_safe"]
-                wall = (time.perf_counter() - t0) * 1e3
+        ref_val = _reference_value(cfg, reference, plan, ref_rng)
+        for n_s in map(int, cfg.sweep["n_samples"]):
+            for m in methods.values():
                 rows.append(
-                    MetricRow(
-                        trial=trial,
-                        time_step=cfg.n_steps,
-                        method=tag,
-                        estimate=est.value,
-                        reference_value=ref_val,
-                        squared_error=(est.value - ref_val) ** 2,
-                        wall_ms=wall,
-                        n_samples=int(n_s),
-                        sweep_value=int(n_s),
+                    _timed_row(
+                        m, plan, n_s, rng, ref_val,
+                        trial=trial, time_step=cfg.n_steps, sweep_value=n_s,
                     )
                 )
-    rows_meta = {"trial": trial, "stream_hash": history.stream_hash()}
-    return [rows, rows_meta]
+    return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
 
 
 def _size_sweep_trial(
     cfg: ExperimentConfig, scenario: Scenario, sweep_value, trial: int
 ) -> list:
-    streams = trial_streams(cfg.seed, trial)
-    world, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
-    methods = {
-        tag: create_method(tag, scenario, **cfg.method_options(tag))
-        for tag in cfg.methods
-    }
-    reference = _reference_method(scenario)
-    ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
-    update_wall = {tag: 0.0 for tag in cfg.methods}
+    rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
+    update_s = dict.fromkeys(methods, 0.0)
     for action, batch in zip(history.actions, history.batches):
         for tag, m in methods.items():
             t0 = time.perf_counter()
-            m.update(action, batch, streams.sampler)
-            update_wall[tag] += time.perf_counter() - t0
+            m.update(action, batch, rng)
+            update_s[tag] += time.perf_counter() - t0
         reference.update(action, batch)
     plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-    ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
-    rows = []
-    for tag, m in methods.items():
-        t0 = time.perf_counter()
-        est = m.estimate(plan, cfg.n_samples, streams.sampler)["p_safe"]
-        wall = (time.perf_counter() - t0 + update_wall[tag]) * 1e3
-        rows.append(
-            MetricRow(
-                trial=trial,
-                time_step=cfg.n_steps,
-                method=tag,
-                estimate=est.value,
-                reference_value=ref_val,
-                squared_error=(est.value - ref_val) ** 2,
-                wall_ms=wall,
-                n_samples=cfg.n_samples,
-                sweep_value=sweep_value,
-            )
+    ref_val = _reference_value(cfg, reference, plan, ref_rng)
+    rows = [
+        _timed_row(
+            m, plan, cfg.n_samples, rng, ref_val, update_s[tag],
+            trial=trial, time_step=cfg.n_steps, sweep_value=sweep_value,
         )
+        for tag, m in methods.items()
+    ]
     return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
 
 

@@ -2,9 +2,12 @@
 
 Every method consumes the same action/observation stream through update()
 and answers plan queries through estimate(), returning safety-probability
-and expected-cost reports.  Posterior state samples are cached per time
-step so evaluating many candidate plans at one step reuses one draw; future
-rollouts are always fresh per plan.
+and expected-cost reports.  All but the particle filters share one query
+path (`_Method`): posterior states and their class posterior b[C|X] are
+drawn once per time step and sample count, so evaluating many candidate
+plans at one step reuses one draw; each plan is rolled forward from them
+afresh, then reported as an expectation over the classes, plus the cost.
+The particle filters draw per hypothesis on every query instead.
 
 Tags:
     mcmc-ours            factored belief, Metropolis-Hastings state samples
@@ -26,14 +29,13 @@ from .estimators import (
     EstimateReport,
     OpenLoopPlan,
     estimate_explicit_c,
-    estimate_p_safe,
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,
     rollout_states,
     safety_reward,
 )
-from .samplers import McmcConfig, WeightedStateSet, mh_sample, snis_sample
+from .samplers import WeightedStateSet, mh_sample, snis_sample
 from .scenario import Scenario
 
 METHOD_TAGS = (
@@ -48,101 +50,122 @@ METHOD_TAGS = (
 PRUNE_KEEP = 3
 
 
-class _FactoredMethod:
-    """Shared machinery for methods backed by the factored hybrid belief."""
+class _Method:
+    """The shared query path: draw -> rollout -> reward report (+ cost).
 
-    def __init__(self, scenario: Scenario, tag: str, mcmc_config: McmcConfig | None = None):
+    Subclasses hold a `belief` and supply `_advance(action, batch)`,
+    `pose_mean()`, `_draw(n, rng) -> (state_set, conditional)` and
+    `_report(reward, state_set, conditional, rollout, plan)`.  They do not
+    override update or estimate, which perfbench's tracer wraps on the
+    class that defines them.
+    """
+
+    def __init__(self, scenario: Scenario, tag: str):
         self.scenario = scenario
         self.tag = tag
-        self.belief = HybridBelief.from_scenario(scenario)
-        self.mcmc_config = mcmc_config or McmcConfig()
-        self._step_cache = {}
+        self._draws = {}
 
     @property
     def k(self) -> int:
         return self.belief.k
 
     def update(self, action, batch, rng=None) -> None:
-        self.belief = self.belief.update(action, batch)
-        self._step_cache = {}
+        self._advance(action, batch)
+        self._draws = {}
 
-    def pose_mean(self) -> np.ndarray:
-        return self.belief.geo.mean[self.belief.index.pose_slice(self.belief.k)]
-
-    def _states(self, n_samples: int, rng) -> tuple[WeightedStateSet, np.ndarray]:
-        key = n_samples
-        if key not in self._step_cache:
-            if self.tag == "mcmc-ours":
-                sset = mh_sample(self.belief, n_samples, rng, self.mcmc_config)
-            else:
-                sset = snis_sample(self.belief, n_samples, rng)
-            probs = self.belief.class_posterior_given_state(sset.samples)
-            self._step_cache[key] = (sset, probs)
-        return self._step_cache[key]
+    def _states(self, n_samples: int, rng):
+        if n_samples not in self._draws:
+            self._draws[n_samples] = self._draw(n_samples, rng)
+        return self._draws[n_samples]
 
     def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
-        sset, probs = self._states(n_samples, rng)
+        sset, cond = self._states(n_samples, rng)
         rollout = rollout_states(sset, plan, self.scenario, rng)
         return {
-            "p_safe": estimate_p_safe(sset, rollout, self.scenario, probs, plan),
+            "p_safe": self._report(safety_reward(self.scenario), sset, cond, rollout, plan),
             "cost": expected_cost(sset, rollout, plan, self.scenario),
         }
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
-        sset, probs = self._states(n_samples, rng)
+        sset, cond = self._states(n_samples, rng)
         rollout = rollout_states(sset, plan, self.scenario, rng)
+        return self._report(reward, sset, cond, rollout, plan)
+
+
+class _FactoredMethod(_Method):
+    """Factored hybrid belief; MH or SNIS state draws, structured estimator."""
+
+    def __init__(self, scenario: Scenario, tag: str):
+        super().__init__(scenario, tag)
+        self.belief = HybridBelief.from_scenario(scenario)
+
+    def _advance(self, action, batch) -> None:
+        self.belief = self.belief.update(action, batch)
+
+    def pose_mean(self) -> np.ndarray:
+        return self.belief.geo.mean[self.belief.index.pose_slice(self.belief.k)]
+
+    def _draw(self, n_samples: int, rng):
+        sample = mh_sample if self.tag == "mcmc-ours" else snis_sample
+        sset = sample(self.belief, n_samples, rng)
+        return sset, self.belief.class_posterior_given_state(sset.samples)
+
+    def _report(self, reward, sset, probs, rollout, plan) -> EstimateReport:
         return estimate_structured(sset, rollout, reward, self.scenario, probs, plan)
 
 
-class _TheoreticalMethod:
+class _MapMethod(_FactoredMethod):
+    """Point-estimate baseline: all uncertainty collapsed before evaluation."""
+
+    def _draw(self, n_samples: int, rng):
+        x_map, labels = gs_map_estimate(self.belief)
+        sset = WeightedStateSet(
+            samples=np.tile(x_map, (n_samples, 1)),
+            log_weights=np.zeros(n_samples),
+            index=self.belief.index,
+            labels=np.tile(labels, (n_samples, 1)),
+            method=self.tag,
+        )
+        return sset, None
+
+    def _report(self, reward, sset, _, rollout, plan) -> EstimateReport:
+        return estimate_sampled_xc(sset, rollout, reward, self.scenario, plan)
+
+
+class _TheoreticalMethod(_Method):
     """Exact Gaussian-sum belief with honest explicit hypothesis sums.
 
     fast_conditional switches the conditional b[C|X] to the factored table
-    route (identical values, linear cost); reserved for untimed reference
-    evaluations, never for the timed baseline itself.
+    route (the same values to roundoff, linear cost); reserved for untimed
+    reference evaluations, never for the timed baseline itself.
     """
 
     def __init__(self, scenario: Scenario, pruned: bool, fast_conditional: bool = False):
-        self.scenario = scenario
+        super().__init__(scenario, "theoretical-pruned" if pruned else "theoretical-all-hyp")
         self.pruned = pruned
-        self.tag = "theoretical-pruned" if pruned else "theoretical-all-hyp"
         self.belief = AnalyticHybridBelief.from_scenario(scenario)
         self.fast_conditional = fast_conditional
         self.factored = HybridBelief.from_scenario(scenario) if fast_conditional else None
-        self._step_cache = {}
 
-    @property
-    def k(self) -> int:
-        return self.belief.k
-
-    def update(self, action, batch, rng=None) -> None:
+    def _advance(self, action, batch) -> None:
         self.belief = self.belief.update(action, batch)
         if self.pruned and self.belief.n_tracked > PRUNE_KEEP:
             self.belief = self.belief.prune(PRUNE_KEEP)
-        if self.factored is not None:
+        if self.fast_conditional:
             self.factored = self.factored.update(action, batch)
-        self._step_cache = {}
 
     def pose_mean(self) -> np.ndarray:
         return self.belief.mixture_mean()[self.belief.index.pose_slice(self.belief.k)]
 
-    def _states(self, n_samples: int, rng):
-        key = n_samples
-        if key not in self._step_cache:
-            sset = self.belief.sample(n_samples, rng)
-            if self.fast_conditional:
-                cond = ("factored", self.factored.class_posterior_given_state(sset.samples))
-            else:
-                cond = ("joint", self.belief.conditional_joint_probs(sset.samples))
-            self._step_cache[key] = (sset, cond)
-        return self._step_cache[key]
+    def _draw(self, n_samples: int, rng):
+        sset = self.belief.sample(n_samples, rng)
+        if self.fast_conditional:
+            return sset, self.factored.class_posterior_given_state(sset.samples)
+        return sset, self.belief.conditional_joint_probs(sset.samples)
 
-    def _reward_report(self, reward, sset, cond, rollout, plan) -> EstimateReport:
-        kind, probs = cond
-        if kind == "factored":
-            return estimate_structured(
-                sset, rollout, reward, self.scenario, probs, plan
-            )
+    def _report(self, reward, sset, probs, rollout, plan) -> EstimateReport:
+        if self.fast_conditional:
+            return estimate_structured(sset, rollout, reward, self.scenario, probs, plan)
         return estimate_explicit_c(
             sset,
             rollout,
@@ -154,24 +177,14 @@ class _TheoreticalMethod:
             max_hypotheses=max(10_000, self.belief.n_tracked),
         )
 
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
-        sset, cond = self._states(n_samples, rng)
-        rollout = rollout_states(sset, plan, self.scenario, rng)
-        return {
-            "p_safe": self._reward_report(
-                safety_reward(self.scenario), sset, cond, rollout, plan
-            ),
-            "cost": expected_cost(sset, rollout, plan, self.scenario),
-        }
-
-    def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
-        sset, cond = self._states(n_samples, rng)
-        rollout = rollout_states(sset, plan, self.scenario, rng)
-        return self._reward_report(reward, sset, cond, rollout, plan)
-
 
 class _ParticleMethod:
-    """Per-hypothesis particle filters with explicit hypothesis expectation."""
+    """Per-hypothesis particle filters with explicit hypothesis expectation.
+
+    Not a `_Method`: every query draws a fresh state set per hypothesis,
+    then a separate mixture draw for cost.  The filter is built from the
+    first rng it sees, whether an update's or a query's.
+    """
 
     def __init__(self, scenario: Scenario, pruned: bool, n_particles: int = 500):
         self.scenario = scenario
@@ -199,9 +212,12 @@ class _ParticleMethod:
             self.pf.prune(PRUNE_KEEP)
 
     def pose_mean(self) -> np.ndarray:
+        if self.pf is None:
+            return self.scenario.robot_prior_mean.copy()
         return self.pf.mixture_mean()[self.pf.index.pose_slice(self.pf.k)]
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
+        self._ensure(rng)
         weights = self.pf.weights
         value = 0.0
         var = 0.0
@@ -231,61 +247,11 @@ class _ParticleMethod:
         }
 
 
-class _MapMethod:
-    """Point-estimate baseline: all uncertainty collapsed before evaluation."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.tag = "gs-map"
-        self.belief = HybridBelief.from_scenario(scenario)
-        self._step_cache = {}
-
-    @property
-    def k(self) -> int:
-        return self.belief.k
-
-    def update(self, action, batch, rng=None) -> None:
-        self.belief = self.belief.update(action, batch)
-        self._step_cache = {}
-
-    def pose_mean(self) -> np.ndarray:
-        return self.belief.geo.mean[self.belief.index.pose_slice(self.belief.k)]
-
-    def _point_set(self, n_samples: int) -> WeightedStateSet:
-        key = n_samples
-        if key not in self._step_cache:
-            x_map, labels = gs_map_estimate(self.belief)
-            self._step_cache[key] = WeightedStateSet(
-                samples=np.tile(x_map, (n_samples, 1)),
-                log_weights=np.zeros(n_samples),
-                index=self.belief.index,
-                labels=np.tile(labels, (n_samples, 1)),
-                method=self.tag,
-            )
-        return self._step_cache[key]
-
-    def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
-        sset = self._point_set(n_samples)
-        rollout = rollout_states(sset, plan, self.scenario, rng)
-        return estimate_sampled_xc(sset, rollout, reward, self.scenario, plan)
-
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
-        sset = self._point_set(n_samples)
-        rollout = rollout_states(sset, plan, self.scenario, rng)
-        return {
-            "p_safe": estimate_sampled_xc(
-                sset, rollout, safety_reward(self.scenario), self.scenario, plan
-            ),
-            "cost": expected_cost(sset, rollout, plan, self.scenario),
-        }
-
-
 def create_method(tag: str, scenario: Scenario, **options):
-    """Instantiate a method state by tag; options are method specific
-    (mcmc_config, n_particles, fast_conditional)."""
-    if tag == "mcmc-ours":
-        return _FactoredMethod(scenario, tag, options.get("mcmc_config"))
-    if tag == "snis-ours":
+    """Instantiate a method state by tag.  Options are method specific:
+    n_particles (pf-*) and fast_conditional (theoretical-all-hyp, for the
+    untimed reference only)."""
+    if tag in ("mcmc-ours", "snis-ours"):
         return _FactoredMethod(scenario, tag)
     if tag == "theoretical-all-hyp":
         return _TheoreticalMethod(
@@ -298,5 +264,5 @@ def create_method(tag: str, scenario: Scenario, **options):
     if tag == "pf-pruned":
         return _ParticleMethod(scenario, pruned=True, n_particles=options.get("n_particles", 500))
     if tag == "gs-map":
-        return _MapMethod(scenario)
+        return _MapMethod(scenario, tag)
     raise ValueError(f"unknown method tag {tag!r}; known: {', '.join(METHOD_TAGS)}")

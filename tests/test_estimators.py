@@ -8,7 +8,6 @@ from semgeo.estimators import (
     OpenLoopPlan,
     _weighted_report,
     estimate_explicit_c,
-    estimate_p_safe,
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,
@@ -261,7 +260,7 @@ class TestSafety:
         plan = OpenLoopPlan([[2.0, 0.0], [2.0, 0.0]])  # passes 0.5 under the object
         rollout = rollout_states(sset, plan, sc, rng)
         probs = np.tile([0.7, 0.3], (64, 1, 1))
-        est = estimate_p_safe(sset, rollout, sc, probs, plan)
+        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
         np.testing.assert_allclose(est.value, 0.7, atol=1e-9)
 
     def test_factorizes_over_objects(self, rng):
@@ -273,7 +272,7 @@ class TestSafety:
         probs = np.tile(
             np.array([[0.7, 0.3], [0.9, 0.1]]), (64, 1, 1)
         )
-        est = estimate_p_safe(sset, rollout, sc, probs, plan)
+        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
         np.testing.assert_allclose(est.value, 0.7 * 0.9, atol=1e-9)
 
     def test_empty_plan_is_safe(self, rng):
@@ -281,7 +280,7 @@ class TestSafety:
         sset = fixed_state_set([0.0, 0.0], [[0.1, 0.0]])
         rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
         probs = np.tile([0.0, 1.0], (64, 1, 1))
-        est = estimate_p_safe(sset, rollout, sc, probs)
+        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
 
     def test_monotone_in_radius(self, seeded_history, oracle_small, rng):
@@ -295,7 +294,9 @@ class TestSafety:
         for scale in (0.5, 1.0, 2.0):
             sc = Scenario.from_dict(oracle_small.to_dict())
             sc.unsafe_radius = oracle_small.unsafe_radius * scale
-            values.append(estimate_p_safe(sset, rollout, sc, probs, plan).value)
+            values.append(
+                estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan).value
+            )
         assert values[0] >= values[1] >= values[2]
         assert all(0.0 <= v <= 1.0 for v in values)
 

@@ -254,6 +254,30 @@ class TestRunExperiment:
         groups = [k for k in summary["groups"] if "sweep=20" in k]
         assert groups
 
+    def test_sample_sweep_at_the_prior(self, tmp_path):
+        """n_steps 0 queries methods that saw no update, the particle
+        filter included."""
+        cfg = ExperimentConfig.from_dict(
+            dict(
+                TINY,
+                kind="rmse-vs-samples",
+                methods=["pf-all-hyp"],
+                trials=1,
+                n_steps=0,
+                n_particles=64,
+                sweep={"n_samples": [20, 40]},
+            )
+        )
+        summary = run_experiment(cfg, tmp_path)
+        with open(summary["files"]["rows"], newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[1], r[2], r[8]) for r in rows] == [
+            ("0", "pf-all-hyp", "20"),
+            ("0", "pf-all-hyp", "40"),
+        ]
+        for row in rows:
+            assert -1e-12 <= float(row[3]) <= 1.0 + 1e-12
+
     def test_class_sweep_resizes(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             dict(

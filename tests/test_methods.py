@@ -6,13 +6,15 @@ contract, the pruning side effects, and rough agreement of the unbiased
 estimators with the exhaustive reference.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 import semgeo.methods as methods_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan, safety_reward
 from semgeo.methods import METHOD_TAGS, create_method
-from semgeo.scenario import ScenarioError
+from semgeo.scenario import ScenarioError, simulate, trial_streams
 
 PLAN = OpenLoopPlan(np.tile([0.4, 0.2], (3, 1)))
 
@@ -79,6 +81,43 @@ class TestSharedContract:
         via_reward = a.estimate_reward(safety_reward(oracle_small), PLAN, 60, rng_a)
         assert via_reward.value == b.estimate(PLAN, 60, rng_b)["p_safe"].value
 
+    @pytest.mark.parametrize(
+        "tag, options",
+        [
+            ("mcmc-ours", {}),
+            ("snis-ours", {}),
+            ("theoretical-all-hyp", {}),
+            ("theoretical-pruned", {}),
+            ("gs-map", {}),
+            ("theoretical-all-hyp", {"fast_conditional": True}),
+        ],
+    )
+    def test_one_posterior_draw_per_step(
+        self, tag, options, oracle_small, seeded_history, monkeypatch
+    ):
+        """A repeat query at one step reuses the step's state set, so it
+        draws only the rollout noise; every update forces a new draw."""
+        _, history, _, _, _ = seeded_history
+        drawn = []
+        original = methods_mod.rollout_states
+        monkeypatch.setattr(
+            methods_mod,
+            "rollout_states",
+            lambda sset, *args: drawn.append(sset) or original(sset, *args),
+        )
+        method = create_method(tag, oracle_small, **options)
+        rng = np.random.default_rng(17)
+        n = 60
+        for action, batch in zip(history.actions, history.batches):
+            method.update(action, batch, rng)
+            method.estimate(PLAN, n, rng)
+            expected = copy.deepcopy(rng)
+            expected.standard_normal((n, len(PLAN.actions), 2))
+            method.estimate(PLAN, n, rng)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert drawn[-1] is drawn[-2]
+        assert len({id(sset) for sset in drawn}) == len(history.batches)
+
     def test_gs_map_builds_one_point_set_per_step(self, oracle_small, seeded_history, monkeypatch):
         _, history, _, _, _ = seeded_history
         calls = []
@@ -120,12 +159,20 @@ class TestAgreement:
             band = 6 * np.hypot(est.std_error, ref.std_error) + 0.02
             assert abs(est.value - ref.value) < band, (tag, est.value, ref.value)
 
-    def test_fast_conditional_route_matches(self, oracle_small, seeded_history):
-        _, history, _, _, _ = seeded_history
-        slow, rng_a = advanced("theoretical-all-hyp", oracle_small, history)
-        fast, rng_b = advanced(
-            "theoretical-all-hyp", oracle_small, history, fast_conditional=True
-        )
-        a = slow.estimate(PLAN, 4_000, rng_a)["p_safe"]
-        b = fast.estimate(PLAN, 4_000, rng_b)["p_safe"]
-        assert abs(a.value - b.value) < 6 * np.hypot(a.std_error, b.std_error) + 0.01
+    def test_fast_conditional_route_matches(
+        self, oracle_small, defaults_scenario, planning_scenario
+    ):
+        """The reference's factored conditional gives the explicit sum's
+        p_safe up to roundoff, from the same draws."""
+        for sc in (oracle_small, defaults_scenario, planning_scenario):
+            streams = trial_streams(7, 0)
+            _, history = simulate(sc, 3, streams.world, streams.noise)
+            slow, rng_a = advanced("theoretical-all-hyp", sc, history)
+            fast, rng_b = advanced(
+                "theoretical-all-hyp", sc, history, fast_conditional=True
+            )
+            a = slow.estimate(PLAN, 4_000, rng_a)
+            b = fast.estimate(PLAN, 4_000, rng_b)
+            assert abs(a["p_safe"].value - b["p_safe"].value) <= 1e-9
+            assert a["cost"].value == b["cost"].value
+            assert a["cost"].std_error == b["cost"].std_error

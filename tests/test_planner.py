@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 
 import semgeo.planner as planner_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan
+from semgeo.methods import METHOD_TAGS
 from semgeo.planner import (
     PlannerConfig,
     Roadmap,
@@ -209,6 +210,18 @@ class TestTrial:
         )
         res = run_planning_trial(sc, "gs-map", 0, 42, cfg)
         assert res.stopped and res.steps == 2
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_first_replan_precedes_any_update(self, tag, oracle_small):
+        """Without opening moves every method is queried before its first
+        update, and still plans."""
+        sc = Scenario.from_dict(dict(oracle_small.to_dict(), opening_actions=[]))
+        cfg = PlannerConfig(
+            n_nodes=20, k_nearest=4, n_candidates=3, n_samples=20, max_steps=2
+        )
+        res = run_planning_trial(sc, tag, 0, 42, cfg)
+        assert res.stopped or res.steps >= 1
+        assert res.steps <= cfg.max_steps
 
     def test_step_cap_truncates(self):
         cfg = PlannerConfig(

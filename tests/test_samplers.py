@@ -222,8 +222,9 @@ class TestHugeHypothesisSpace:
         from semgeo.estimators import (
             OpenLoopPlan,
             estimate_explicit_c,
-            estimate_p_safe,
+            estimate_structured,
             rollout_states,
+            safety_reward,
         )
 
         rng = np.random.default_rng(6)
@@ -232,7 +233,7 @@ class TestHugeHypothesisSpace:
         sset = mh_sample(wide_belief, 200, rng)
         rollout = rollout_states(sset, plan, sc, rng)
         probs = wide_belief.class_posterior_given_state(sset.samples)
-        rep = estimate_p_safe(sset, rollout, sc, probs, plan=plan)
+        rep = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
         assert 0.0 <= rep.value <= 1.0
         # the enumerating route must refuse rather than attempt 2**30 terms
         with pytest.raises(ValueError, match="max_hypotheses"):
