@@ -68,7 +68,6 @@ from .scenario import (
     WorldTruth,
     observe,
     sample_world,
-    semantic_log_likelihood,
     simulate,
     step_transition,
     trial_streams,

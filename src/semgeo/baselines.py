@@ -24,23 +24,43 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .belief import HybridBelief, enumerate_labels
-from .gaussian import GaussianFactorGraph, StackedIndex
+from .belief import HybridBelief, append_step, enumerate_labels, prior_graph
+from .gaussian import StackedIndex
 from .samplers import WeightedStateSet
 from .scenario import LOG_2PI, ObservationBatch, Scenario, ScenarioError
 
 
-def _prior_graph(scenario: Scenario) -> GaussianFactorGraph:
-    index = StackedIndex(scenario.n_objects, 0)
-    g = GaussianFactorGraph(index)
-    g.add_prior(index.pose_cols(0), scenario.robot_prior_mean, scenario.robot_prior_cov)
-    for n in range(scenario.n_objects):
-        g.add_prior(
-            index.object_cols(n),
-            scenario.object_prior_means[n],
-            scenario.object_prior_covs[n],
-        )
-    return g
+def _hypothesis_prior(
+    scenario: Scenario, max_hypotheses: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labels_enum, log_prior_c): every joint labelling and its log prior."""
+    labels_enum = enumerate_labels(
+        scenario.n_objects, scenario.n_classes, max_hypotheses
+    )
+    log_pc = scenario.log_class_prior()
+    log_prior_c = log_pc[np.arange(scenario.n_objects)[None, :], labels_enum].sum(
+        axis=1
+    )
+    return labels_enum, log_prior_c
+
+
+def _mixture_sample(weights, labels_enum, n, dim, draw, rng, **fields):
+    """n joint draws: counts per hypothesis by weight, then draw(h, c) in
+    hypothesis order, then one shuffle; fields go to the WeightedStateSet."""
+    counts = rng.multinomial(n, weights)
+    samples = np.empty((n, dim))
+    labels = np.empty((n, labels_enum.shape[1]), dtype=np.int64)
+    pos = 0
+    for h, c in enumerate(counts):
+        if c == 0:
+            continue
+        samples[pos : pos + c] = draw(h, c)
+        labels[pos : pos + c] = labels_enum[h]
+        pos += c
+    perm = rng.permutation(n)
+    return WeightedStateSet(
+        samples=samples[perm], log_weights=np.zeros(n), labels=labels[perm], **fields
+    )
 
 
 def _top_k(log_weights: np.ndarray, keep: int) -> np.ndarray:
@@ -64,15 +84,9 @@ class AnalyticHybridBelief:
     def from_scenario(
         cls, scenario: Scenario, max_hypotheses: int = 1_000_000
     ) -> "AnalyticHybridBelief":
-        labels_enum = enumerate_labels(
-            scenario.n_objects, scenario.n_classes, max_hypotheses
-        )
-        base = _prior_graph(scenario)
+        labels_enum, log_prior_c = _hypothesis_prior(scenario, max_hypotheses)
+        base = prior_graph(scenario)
         graphs = [base] + [base.copy() for _ in range(len(labels_enum) - 1)]
-        log_pc = scenario.log_class_prior()
-        log_prior_c = log_pc[np.arange(scenario.n_objects)[None, :], labels_enum].sum(
-            axis=1
-        )
         return cls(scenario, labels_enum, graphs, log_prior_c, "theoretical-all-hyp")
 
     # ------------------------------------------------------------------
@@ -93,27 +107,10 @@ class AnalyticHybridBelief:
         if batch.t != self.k + 1:
             raise ScenarioError(f"batch.t={batch.t}, expected {self.k + 1}")
         sc = self.scenario
-        action = np.asarray(action, dtype=float).reshape(2)
-        eye2 = np.eye(2)
-        a_rel = np.hstack([-eye2, eye2])
-        new_graphs = []
-        for h, g in enumerate(self.graphs):
-            g = g.with_appended_step()
-            idx = g.index
-            cols_t = np.concatenate([idx.pose_cols(self.k), idx.pose_cols(self.k + 1)])
-            g.add_linear_factor(cols_t, a_rel, 0.0, sc.sigma2_x * eye2, action)
-            for j, n in enumerate(batch.object_ids):
-                cols = np.concatenate(
-                    [idx.pose_cols(self.k + 1), idx.object_cols(int(n))]
-                )
-                g.add_linear_factor(
-                    cols, a_rel, 0.0, sc.sigma2_obs * eye2, batch.geometric[j]
-                )
-                alpha = sc.alphas[self.labels_enum[h, int(n)]]
-                g.add_linear_factor(
-                    cols, alpha * a_rel, 0.0, sc.sigma2_obs * eye2, batch.semantic[j]
-                )
-            new_graphs.append(g)
+        new_graphs = [
+            append_step(g, action, batch, sc, sc.alphas[self.labels_enum[h]])
+            for h, g in enumerate(self.graphs)
+        ]
         out = AnalyticHybridBelief(
             sc, self.labels_enum, new_graphs, self.log_prior_c, self.tag
         )
@@ -160,36 +157,20 @@ class AnalyticHybridBelief:
 
     def sample(self, n: int, rng: np.random.Generator) -> WeightedStateSet:
         """Exact joint draws: hypothesis by weight, then its Gaussian."""
-        counts = rng.multinomial(n, self.weights)
-        samples = np.empty((n, self.index.dim))
-        labels = np.empty((n, self.scenario.n_objects), dtype=np.int64)
-        pos = 0
-        for h, c in enumerate(counts):
-            if c == 0:
-                continue
-            samples[pos : pos + c] = self.graphs[h].sample(rng, c)
-            labels[pos : pos + c] = self.labels_enum[h]
-            pos += c
-        perm = rng.permutation(n)
-        return WeightedStateSet(
-            samples=samples[perm],
-            log_weights=np.zeros(n),
-            index=self.index,
-            labels=labels[perm],
-            method=self.tag,
+        return _mixture_sample(
+            self.weights, self.labels_enum, n, self.index.dim,
+            lambda h, c: self.graphs[h].sample(rng, c), rng,
+            index=self.index, method=self.tag,
         )
 
-    def conditional_log_joint(self, samples: np.ndarray) -> np.ndarray:
-        """(n, n_tracked) log b[C | X], each row normalized over hypotheses."""
+    def conditional_joint_probs(self, samples: np.ndarray) -> np.ndarray:
+        """(n, n_tracked) b[C | X], each row normalized over hypotheses."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         parts = np.empty((len(samples), self.n_tracked))
         lw = self.log_weights
         for h, g in enumerate(self.graphs):
             parts[:, h] = lw[h] + g.log_density(samples)
-        return parts - logsumexp(parts, axis=1, keepdims=True)
-
-    def conditional_joint_probs(self, samples: np.ndarray) -> np.ndarray:
-        return np.exp(self.conditional_log_joint(samples))
+        return np.exp(parts - logsumexp(parts, axis=1, keepdims=True))
 
     def log_unnormalized_joint(self, samples: np.ndarray, h: int) -> np.ndarray:
         """log of P0(C_h) times the raw factor product of hypothesis h at X."""
@@ -278,18 +259,9 @@ class HypothesisParticleFilter:
         n_particles: int = 500,
         max_hypotheses: int = 10_000,
     ) -> "HypothesisParticleFilter":
-        labels_enum = enumerate_labels(
-            scenario.n_objects, scenario.n_classes, max_hypotheses
-        )
-        base = _prior_graph(scenario)
-        n_hyp = len(labels_enum)
-        particles = np.empty((n_hyp, n_particles, base.dim))
-        for h in range(n_hyp):
-            particles[h] = base.sample(rng, n_particles)
-        log_pc = scenario.log_class_prior()
-        log_prior_c = log_pc[np.arange(scenario.n_objects)[None, :], labels_enum].sum(
-            axis=1
-        )
+        labels_enum, log_prior_c = _hypothesis_prior(scenario, max_hypotheses)
+        base = prior_graph(scenario)
+        particles = np.stack([base.sample(rng, n_particles) for _ in labels_enum])
         log_hyp_w = log_prior_c - logsumexp(log_prior_c)
         return cls(
             scenario,
@@ -373,25 +345,10 @@ class HypothesisParticleFilter:
 
     def sample(self, n: int, rng: np.random.Generator) -> WeightedStateSet:
         """Joint draws: hypothesis by weight, particle uniformly within it."""
-        counts = rng.multinomial(n, self.weights)
-        samples = np.empty((n, self.particles.shape[2]))
-        labels = np.empty((n, self.scenario.n_objects), dtype=np.int64)
-        pos = 0
-        for h, c in enumerate(counts):
-            if c == 0:
-                continue
-            pick = rng.integers(0, self.n_particles, size=c)
-            samples[pos : pos + c] = self.particles[h, pick]
-            labels[pos : pos + c] = self.labels_enum[h]
-            pos += c
-        perm = rng.permutation(n)
-        return WeightedStateSet(
-            samples=samples[perm],
-            log_weights=np.zeros(n),
-            index=self.index,
-            labels=labels[perm],
-            method=self.tag,
-            diagnostics=dict(self.diagnostics),
+        return _mixture_sample(
+            self.weights, self.labels_enum, n, self.index.dim,
+            lambda h, c: self.particles[h, rng.integers(0, self.n_particles, size=c)],
+            rng, index=self.index, method=self.tag, diagnostics=dict(self.diagnostics),
         )
 
     def hypothesis_state_set(

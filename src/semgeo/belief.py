@@ -114,6 +114,52 @@ def enumerate_labels(
     return out
 
 
+_EYE2 = np.eye(2)
+# both relative sensors and the motion model read (second slot - first slot)
+_A_REL = np.hstack([-_EYE2, _EYE2])
+
+
+def prior_graph(scenario: Scenario) -> GaussianFactorGraph:
+    """Step-0 graph: the start-pose prior, then each object's prior."""
+    index = StackedIndex(scenario.n_objects, 0)
+    g = GaussianFactorGraph(index)
+    g.add_prior(index.pose_cols(0), scenario.robot_prior_mean, scenario.robot_prior_cov)
+    for n in range(scenario.n_objects):
+        g.add_prior(
+            index.object_cols(n),
+            scenario.object_prior_means[n],
+            scenario.object_prior_covs[n],
+        )
+    return g
+
+
+def append_step(
+    graph: GaussianFactorGraph,
+    action,
+    batch: ObservationBatch,
+    scenario: Scenario,
+    alphas: np.ndarray | None = None,
+) -> GaussianFactorGraph:
+    """New graph one step longer: the motion factor, then per observed object
+    its geometric factor and, given per-object semantic scales `alphas` (a
+    joint hypothesis's scenario.alphas[labels]), its semantic factor.
+    alphas=None is the factored belief's geometric-only graph."""
+    k = graph.index.n_steps
+    g = graph.with_appended_step()
+    idx = g.index
+    noise = scenario.sigma2_obs * _EYE2
+    cols = np.concatenate([idx.pose_cols(k), idx.pose_cols(k + 1)])
+    g.add_linear_factor(cols, _A_REL, 0.0, scenario.sigma2_x * _EYE2, action)
+    for j, n in enumerate(batch.object_ids):
+        cols = np.concatenate([idx.pose_cols(k + 1), idx.object_cols(int(n))])
+        g.add_linear_factor(cols, _A_REL, 0.0, noise, batch.geometric[j])
+        if alphas is not None:
+            g.add_linear_factor(
+                cols, alphas[int(n)] * _A_REL, 0.0, noise, batch.semantic[j]
+            )
+    return g
+
+
 class HybridBelief:
     """Gaussian geometric posterior plus per-object semantic evidence.
 
@@ -155,19 +201,8 @@ class HybridBelief:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "HybridBelief":
-        index = StackedIndex(scenario.n_objects, 0)
-        geo = GaussianFactorGraph(index)
-        geo.add_prior(
-            index.pose_cols(0), scenario.robot_prior_mean, scenario.robot_prior_cov
-        )
-        for n in range(scenario.n_objects):
-            geo.add_prior(
-                index.object_cols(n),
-                scenario.object_prior_means[n],
-                scenario.object_prior_covs[n],
-            )
         empty = np.empty(0)
-        return cls(scenario, geo, empty, empty, np.empty((0, 2)), 0)
+        return cls(scenario, prior_graph(scenario), empty, empty, np.empty((0, 2)), 0)
 
     @property
     def index(self) -> StackedIndex:
@@ -180,18 +215,7 @@ class HybridBelief:
                 f"batch.t={batch.t}, expected {self.k + 1} for a belief at k={self.k}"
             )
         sc = self.scenario
-        action = np.asarray(action, dtype=float).reshape(2)
-        geo = self.geo.with_appended_step()
-        idx = geo.index
-        eye2 = np.eye(2)
-        a_rel = np.hstack([-eye2, eye2])
-        cols = np.concatenate([idx.pose_cols(self.k), idx.pose_cols(self.k + 1)])
-        geo.add_linear_factor(cols, a_rel, 0.0, sc.sigma2_x * eye2, action)
-        for j, n in enumerate(batch.object_ids):
-            cols = np.concatenate([idx.pose_cols(self.k + 1), idx.object_cols(int(n))])
-            geo.add_linear_factor(
-                cols, a_rel, 0.0, sc.sigma2_obs * eye2, batch.geometric[j]
-            )
+        geo = append_step(self.geo, action, batch, sc)
         sem_obj = np.concatenate([self.sem_obj, batch.object_ids])
         sem_t = np.concatenate(
             [self.sem_t, np.full(len(batch.object_ids), batch.t, dtype=np.int64)]

@@ -80,6 +80,7 @@ def _run_configured(args, allowed_kinds) -> int:
         if bad:
             raise ConfigError(f"--methods {bad} not present in config methods")
         config.methods = subset
+    config._validate()
     summary = run_experiment(config)
     print(json.dumps({k: summary[k] for k in ("kind", "files") if k in summary}))
     return 0

@@ -195,12 +195,9 @@ class GaussianFactorGraph:
 
     def posterior_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean, covariance) of the normalized product of all factors."""
-        cf = self._chol()
-        if "mean" not in self._cache:
-            self._cache["mean"] = linalg.cho_solve(cf, self._theta)
         if "cov" not in self._cache:
-            self._cache["cov"] = linalg.cho_solve(cf, np.eye(self.dim))
-        return self._cache["mean"], self._cache["cov"]
+            self._cache["cov"] = linalg.cho_solve(self._chol(), np.eye(self.dim))
+        return self.mean, self._cache["cov"]
 
     @property
     def mean(self) -> np.ndarray:
@@ -212,11 +209,9 @@ class GaussianFactorGraph:
     @property
     def log_evidence(self) -> float:
         """log integral of the unnormalized factor product over all of X."""
-        cf = self._chol()
-        mean = self.mean
         return float(
             self._log_const
-            + 0.5 * self._theta @ mean
+            + 0.5 * self._theta @ self.mean
             + 0.5 * self.dim * LOG_2PI
             - 0.5 * self._logdet_h()
         )

@@ -158,6 +158,9 @@ class ExperimentConfig:
     def _validate(self) -> None:
         if self.trials < 1 or self.n_samples < 1 or self.n_steps < 0:
             raise ConfigError("trials, n_samples must be >= 1 and n_steps >= 0")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods lists {repeated} more than once")
         if self.kind == "rmse-vs-samples" and "n_samples" not in self.sweep:
             raise ConfigError("rmse-vs-samples needs sweep.n_samples")
         if self.kind == "rmse-vs-classes" and "n_classes" not in self.sweep:

@@ -153,12 +153,11 @@ def run_planning_trial(
     trial: int,
     base_seed: int,
     config: PlannerConfig = PlannerConfig(),
-    world: WorldTruth | None = None,
 ) -> PlanningResult:
     """One closed-loop trial: opening moves, then replan/execute to the goal.
 
-    The world comes from the (base_seed, trial) world stream unless supplied,
-    and the sensor-noise stream is keyed by (base_seed, trial) only, so every
+    The world comes from the (base_seed, trial) world stream, and the
+    sensor-noise stream is keyed by (base_seed, trial) only, so every
     method sees byte-identical observations while trajectories coincide.
     """
     world_rng = np.random.default_rng(np.random.SeedSequence((base_seed, trial, 0)))
@@ -166,14 +165,7 @@ def run_planning_trial(
     sampler_rng = np.random.default_rng(
         np.random.SeedSequence((base_seed, trial, 2, zlib.crc32(method_tag.encode())))
     )
-    if world is None:
-        world = sample_world(scenario, world_rng)
-    else:
-        world = WorldTruth(
-            classes=world.classes.copy(),
-            objects=world.objects.copy(),
-            trajectory=world.trajectory[:1].copy(),
-        )
+    world = sample_world(scenario, world_rng)
     t_start = time.perf_counter()
     method = create_method(method_tag, scenario, **config.method_options)
     x = world.trajectory[0].copy()

@@ -314,46 +314,20 @@ def observe(
     )
 
 
-def semantic_log_likelihood(scenario, z_s, x_pose, x_obj, c) -> np.ndarray:
-    """log N(z_s ; alpha_c * (x_obj - x_pose), sigma2_obs * I).
-
-    Accepts broadcastable arrays; c is 1-based (scalar or array).
-    """
-    z_s = np.asarray(z_s, dtype=float)
-    rel = np.asarray(x_obj, dtype=float) - np.asarray(x_pose, dtype=float)
-    alpha = scenario.alphas[np.asarray(c) - 1]
-    mean = np.asarray(alpha)[..., None] * rel
-    r2 = np.sum((z_s - mean) ** 2, axis=-1)
-    return -LOG_2PI - np.log(scenario.sigma2_obs) - 0.5 * r2 / scenario.sigma2_obs
-
-
-def geometric_log_likelihood(scenario, z_g, x_pose, x_obj) -> np.ndarray:
-    """log N(z_g ; x_obj - x_pose, sigma2_obs * I)."""
-    z_g = np.asarray(z_g, dtype=float)
-    rel = np.asarray(x_obj, dtype=float) - np.asarray(x_pose, dtype=float)
-    r2 = np.sum((z_g - rel) ** 2, axis=-1)
-    return -LOG_2PI - np.log(scenario.sigma2_obs) - 0.5 * r2 / scenario.sigma2_obs
-
-
 def simulate(
     scenario: Scenario,
     n_steps: int,
     rng_world: np.random.Generator,
     rng_noise: np.random.Generator,
-    actions: np.ndarray | None = None,
-    world: WorldTruth | None = None,
 ) -> tuple[WorldTruth, History]:
-    """Roll a world forward under an open-loop action sequence.
+    """Roll a sampled world forward under scenario.actions.
 
-    Uses scenario.actions when no explicit sequence is given; the sequence
-    must cover n_steps.  Separate world and noise streams keep the sampled
-    world identical when only the trajectory noise stream changes.
+    The action sequence must cover n_steps.  Separate world and noise
+    streams keep the sampled world identical when only the trajectory noise
+    stream changes.
     """
-    if world is None:
-        world = sample_world(scenario, rng_world)
-    if actions is None:
-        actions = scenario.actions
-    actions = np.asarray(actions, dtype=float).reshape(-1, 2)
+    world = sample_world(scenario, rng_world)
+    actions = scenario.actions
     if len(actions) < n_steps:
         raise ScenarioError(f"need {n_steps} actions, scenario provides {len(actions)}")
     history = History()

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from semgeo.baselines import AnalyticHybridBelief
 from semgeo.belief import (
     CodecRangeError,
     Hypothesis,
     HybridBelief,
+    append_step,
     enumerate_labels,
     n_hypotheses,
+    prior_graph,
 )
+from semgeo.gaussian import GaussianFactorGraph, StackedIndex
 from semgeo.scenario import ObservationBatch, ScenarioError, simulate, trial_streams
 
 
@@ -126,6 +130,67 @@ class TestUpdate:
         np.testing.assert_allclose(
             b_fwd.geo.log_evidence, b_rev.geo.log_evidence, rtol=1e-12
         )
+
+
+def assert_same_graph(got, want):
+    np.testing.assert_array_equal(got._H, want._H)
+    np.testing.assert_array_equal(got._theta, want._theta)
+    np.testing.assert_array_equal(got._log_const, want._log_const)
+    assert got.index == want.index and got.n_factors == want.n_factors
+
+
+class TestStepConstruction:
+    """All three beliefs build their graphs through prior_graph and
+    append_step; the factor order fixes the floating-point result."""
+
+    def test_hybrid_update_appends_geometric_factors_only(self, oracle_small):
+        streams = trial_streams(3, 0)
+        _, history = simulate(oracle_small, 2, streams.world, streams.noise)
+        b = HybridBelief.from_scenario(oracle_small)
+        g = prior_graph(oracle_small)
+        for action, batch in zip(history.actions, history.batches):
+            b = b.update(action, batch)
+            g = append_step(g, action, batch, oracle_small, alphas=None)
+            assert_same_graph(b.geo, g)
+
+    def test_hypothesis_graphs_match_factor_by_factor(self, oracle_small):
+        """Each hypothesis graph is the prior, then per step the motion
+        factor and, per object, its geometric then its semantic factor."""
+        sc = oracle_small
+        streams = trial_streams(3, 0)
+        _, history = simulate(sc, 2, streams.world, streams.noise)
+        analytic = AnalyticHybridBelief.from_scenario(sc)
+        for action, batch in zip(history.actions, history.batches):
+            analytic = analytic.update(action, batch)
+        eye2 = np.eye(2)
+        a_rel = np.hstack([-eye2, eye2])
+        for labels, got in zip(analytic.labels_enum, analytic.graphs):
+            index = StackedIndex(sc.n_objects, 0)
+            g = GaussianFactorGraph(index)
+            g.add_prior(index.pose_cols(0), sc.robot_prior_mean, sc.robot_prior_cov)
+            for n in range(sc.n_objects):
+                g.add_prior(
+                    index.object_cols(n),
+                    sc.object_prior_means[n],
+                    sc.object_prior_covs[n],
+                )
+            for t, (action, batch) in enumerate(zip(history.actions, history.batches)):
+                g = g.with_appended_step()
+                idx = g.index
+                cols = np.concatenate([idx.pose_cols(t), idx.pose_cols(t + 1)])
+                g.add_linear_factor(cols, a_rel, 0.0, sc.sigma2_x * eye2, action)
+                for j, n in enumerate(batch.object_ids):
+                    cols = np.concatenate([idx.pose_cols(t + 1), idx.object_cols(n)])
+                    noise = sc.sigma2_obs * eye2
+                    g.add_linear_factor(cols, a_rel, 0.0, noise, batch.geometric[j])
+                    g.add_linear_factor(
+                        cols,
+                        sc.alphas[labels[n]] * a_rel,
+                        0.0,
+                        noise,
+                        batch.semantic[j],
+                    )
+            assert_same_graph(got, g)
 
 
 class TestFactorizedTables:

@@ -85,6 +85,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown methods"):
             ExperimentConfig.from_dict(self.base(methods=["mcmc-ours", "magic"]))
 
+    def test_repeated_method_tags(self):
+        """The estimation kinds key methods by tag and planning-table runs
+        each listed item, so a repeated tag would mean different things."""
+        with pytest.raises(ConfigError, match=r"\['gs-map'\] more than once"):
+            ExperimentConfig.from_dict(
+                self.base(methods=["gs-map", "mcmc-ours", "gs-map"])
+            )
+
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="bad config field"):
             ExperimentConfig.from_dict(self.base(n_sample=10))
@@ -345,6 +353,14 @@ class TestCli:
         path.write_text(json.dumps(TINY))
         assert main(["simulate", "--config", str(path), "--methods", "pf-pruned"]) == 2
         assert "not present" in capsys.readouterr().err
+
+    def test_methods_override_must_not_repeat(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "res")]
+        assert main(argv + ["--methods", "gs-map,gs-map"]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_simulate_happy_path(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

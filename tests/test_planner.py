@@ -25,7 +25,7 @@ from semgeo.planner import (
     run_planning_trial,
     select_plan,
 )
-from semgeo.scenario import Scenario, sample_world
+from semgeo.scenario import Scenario
 
 
 def open_scenario(**overrides) -> Scenario:
@@ -230,14 +230,6 @@ class TestTrial:
         res = run_planning_trial(open_scenario(), "gs-map", 0, 42, cfg)
         assert res.steps == 3
         assert not res.reached_goal and not res.stopped
-
-    def test_supplied_world_is_not_mutated(self, rng):
-        sc = open_scenario()
-        world = sample_world(sc, rng)
-        snapshot = world.trajectory.copy()
-        run_planning_trial(sc, "gs-map", 0, 42, QUICK, world=world)
-        assert world.trajectory.shape == snapshot.shape
-        assert_allclose(world.trajectory, snapshot)
 
     def test_full_commit_builds_one_roadmap(self, monkeypatch):
         calls = []

@@ -1,4 +1,4 @@
-"""Generative model: validation, serialization, likelihoods, RNG streams."""
+"""Generative model: validation, serialization, RNG streams."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semgeo.scenario import (
-    LOG_2PI,
     Scenario,
     ScenarioError,
     default_alphas,
-    geometric_log_likelihood,
     observe,
     sample_world,
-    semantic_log_likelihood,
     simulate,
     step_transition,
     trial_streams,
@@ -86,54 +83,6 @@ class TestSerialization:
         assert defaults_scenario.sigma2_x == 0.3
         assert defaults_scenario.alphas[0] == 0.95
         assert defaults_scenario.alphas[-1] == 1.05
-
-
-class TestLikelihoods:
-    def test_semantic_matches_direct_formula(self, oracle_small, rng):
-        z = rng.normal(size=2)
-        pose = rng.normal(size=2)
-        obj = rng.normal(size=2) + 2.0
-        for c in (1, 2):
-            alpha = oracle_small.alphas[c - 1]
-            mean = alpha * (obj - pose)
-            direct = float(
-                -LOG_2PI
-                - np.log(oracle_small.sigma2_obs)
-                - 0.5 * np.sum((z - mean) ** 2) / oracle_small.sigma2_obs
-            )
-            got = semantic_log_likelihood(oracle_small, z, pose, obj, c)
-            np.testing.assert_allclose(got, direct, rtol=1e-14)
-
-    def test_semantic_at_unit_scale_equals_geometric(self, rng):
-        s = tiny_scenario(alphas=[1.0, 1.1, 1.2])
-        z = rng.normal(size=2)
-        pose, obj = rng.normal(size=2), rng.normal(size=2)
-        np.testing.assert_allclose(
-            semantic_log_likelihood(s, z, pose, obj, 1),
-            geometric_log_likelihood(s, z, pose, obj),
-            rtol=1e-14,
-        )
-
-    def test_likelihood_broadcasts_over_classes(self, oracle_small, rng):
-        z = rng.normal(size=2)
-        pose, obj = rng.normal(size=2), rng.normal(size=2)
-        c = np.array([1, 2])
-        batch = semantic_log_likelihood(oracle_small, z, pose, obj, c)
-        singles = [
-            semantic_log_likelihood(oracle_small, z, pose, obj, int(ci)) for ci in c
-        ]
-        np.testing.assert_allclose(batch, singles)
-
-    def test_geometric_is_normalized_density(self, oracle_small):
-        """Numerical quadrature of exp(loglik) over z integrates to one."""
-        grid = np.linspace(-12, 12, 241)
-        dz = grid[1] - grid[0]
-        zz = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-        ll = geometric_log_likelihood(
-            oracle_small, zz, np.zeros(2), np.array([1.0, -0.5])
-        )
-        total = np.exp(ll).sum() * dz * dz
-        np.testing.assert_allclose(total, 1.0, atol=1e-6)
 
 
 class TestStreams:
