@@ -5,7 +5,12 @@ action/observation stream, generated once from the trial's noise substream;
 the stream hash is recorded in the summary.  Reference values come from the
 exact Gaussian-sum belief sampled at a large sample count (its conditional
 taken through the factored-table route, which tests check agrees with the
-explicit hypothesis sum to 1e-9), never from the ground-truth world.
+explicit hypothesis sum to 1e-9), never from the ground-truth world.  When
+a trial runs the timed `theoretical-all-hyp` method, the untimed reference
+adopts that method's belief after each of its updates instead of building
+the same belief again; the values are bit-identical.  The sharing goes one
+way only: a timed method never shares work with another method or with the
+reference, so every row's wall_ms measures that method's own work.
 
 Emitted metric rows share one schema across experiment kinds:
 trial, time_step, method, estimate, reference_value, squared_error,
@@ -71,6 +76,19 @@ _PLANNER_KEYS = tuple(
     for f in fields(PlannerConfig)
     if f.name not in ("n_samples", "method_options")
 )
+
+
+# integer config fields and their smallest valid values (None: any integer)
+_INT_MINIMA = {
+    "trials": 1,
+    "n_steps": 0,
+    "n_samples": 1,
+    "reference_samples": 1,
+    "eval_horizon": 0,
+    "seed": 0,
+    "workers": None,
+    "n_particles": 1,
+}
 
 
 class ConfigError(ValueError):
@@ -156,8 +174,14 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def _validate(self) -> None:
-        if self.trials < 1 or self.n_samples < 1 or self.n_steps < 0:
-            raise ConfigError("trials, n_samples must be >= 1 and n_steps >= 0")
+        for name, low in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigError(f"methods lists {repeated} more than once")
@@ -241,7 +265,8 @@ def _eval_plan(scenario: Scenario, step: int, horizon: int) -> OpenLoopPlan:
 
 def _trial_setup(cfg: ExperimentConfig, scenario: Scenario, trial: int):
     """A trial's sampler rng, history and methods, plus the untimed reference
-    and the rng of its queries."""
+    (following the timed exact belief when the trial runs one) and the rng
+    of its queries."""
     streams = trial_streams(cfg.seed, trial)
     _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     methods = {
@@ -249,6 +274,8 @@ def _trial_setup(cfg: ExperimentConfig, scenario: Scenario, trial: int):
         for tag in cfg.methods
     }
     reference = create_method("theoretical-all-hyp", scenario, fast_conditional=True)
+    if "theoretical-all-hyp" in methods:
+        reference.follow(methods["theoretical-all-hyp"])
     ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
     return streams.sampler, history, methods, reference, ref_rng
 
@@ -277,6 +304,7 @@ def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> 
     rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
     rows = []
     for step, (action, batch) in enumerate(zip(history.actions, history.batches), 1):
+        # the timed methods first: the reference may follow one of them
         for m in methods.values():
             m.update(action, batch, rng)
         reference.update(action, batch)
@@ -309,6 +337,7 @@ def _size_sweep_trial(
     rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
     update_s = dict.fromkeys(methods, 0.0)
     for action, batch in zip(history.actions, history.batches):
+        # the timed methods first: the reference may follow one of them
         for tag, m in methods.items():
             t0 = time.perf_counter()
             m.update(action, batch, rng)

@@ -137,7 +137,9 @@ class _TheoreticalMethod(_Method):
 
     fast_conditional switches the conditional b[C|X] to the factored table
     route (the same values to roundoff, linear cost); reserved for untimed
-    reference evaluations, never for the timed baseline itself.
+    reference evaluations, never for the timed baseline itself.  Such a
+    reference may `follow` a timed all-hypothesis method instead of
+    updating an exact belief of its own.
     """
 
     def __init__(self, scenario: Scenario, pruned: bool, fast_conditional: bool = False):
@@ -146,9 +148,28 @@ class _TheoreticalMethod(_Method):
         self.belief = AnalyticHybridBelief.from_scenario(scenario)
         self.fast_conditional = fast_conditional
         self.factored = HybridBelief.from_scenario(scenario) if fast_conditional else None
+        self._followed = None
+
+    def follow(self, timed: "_TheoreticalMethod") -> None:
+        """Adopt `timed`'s exact belief after each update instead of
+        updating a copy: the update is deterministic, returns a new object
+        and computes everything a query reads, so the values are the same.
+        The step-0 belief stays this method's own: its query memos are
+        empty, and filling them on `timed`'s object would hand `timed` work
+        it did not pay for.  `timed` must be updated before this method at
+        every step."""
+        self._followed = timed
 
     def _advance(self, action, batch) -> None:
-        self.belief = self.belief.update(action, batch)
+        if self._followed is not None:
+            if self._followed.k != self.k + 1:
+                raise RuntimeError(
+                    f"followed {self._followed.tag} is at step {self._followed.k}, "
+                    f"expected {self.k + 1}: update it before the reference"
+                )
+            self.belief = self._followed.belief
+        else:
+            self.belief = self.belief.update(action, batch)
         if self.pruned and self.belief.n_tracked > PRUNE_KEEP:
             self.belief = self.belief.prune(PRUNE_KEEP)
         if self.fast_conditional:

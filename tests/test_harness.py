@@ -18,6 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import semgeo.cli as cli_mod
+from semgeo.baselines import AnalyticHybridBelief
 from semgeo.cli import main
 from semgeo.harness import (
     METRIC_COLUMNS,
@@ -28,7 +29,8 @@ from semgeo.harness import (
     resize_scenario,
     run_experiment,
 )
-from semgeo.scenario import Scenario, default_alphas
+from semgeo.methods import _Method, create_method
+from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
 
 
 class TestLoadScenario:
@@ -137,6 +139,31 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(self.base(trials=0))
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(self.base(n_samples=0))
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            # every row would get reference_value 0.0 and a wrong RMSE
+            ({"reference_samples": 0}, "reference_samples must be >= 1"),
+            # the particle filter would fail with a bare math domain error
+            ({"n_particles": 0, "methods": ["pf-pruned"]}, "n_particles must be >= 1"),
+            # would run nothing and exit 0
+            ({"methods": []}, "methods must name at least one method"),
+            # would raise a TypeError inside run_experiment
+            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            # would write True into the n_samples column
+            ({"n_samples": True}, "n_samples must be an integer, got True"),
+            # the trial streams take only non-negative seeds
+            ({"seed": -1}, "seed must be >= 0"),
+            # would slice the evaluated plan from the end of the actions
+            ({"eval_horizon": -2}, "eval_horizon must be >= 0"),
+        ],
+        ids=["reference_samples-0", "n_particles-0", "methods-empty",
+             "trials-float", "n_samples-bool", "seed-negative", "eval_horizon-negative"],
+    )
+    def test_invalid_field_values(self, over, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(self.base(**over))
 
     def test_sweep_required_per_kind(self):
         for kind, key in [
@@ -337,10 +364,107 @@ class TestRunExperiment:
         assert len(rows) - 1 == 2
 
 
+class TestSharedReference:
+    """The untimed reference adopts the timed all-hypothesis belief instead
+    of building its own copy; its values must not change by that, and it
+    must never follow a pruned belief."""
+
+    def reference_column(self, tmp_path, methods, **over) -> list:
+        cfg = ExperimentConfig.from_dict(dict(TINY, methods=methods, **over))
+        summary = run_experiment(cfg, tmp_path / "-".join(methods))
+        with open(summary["files"]["rows"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return [
+            (r["trial"], r["time_step"], r["sweep_value"], r["reference_value"])
+            for r in rows
+            if r["method"] == "mcmc-ours"
+        ]
+
+    @pytest.mark.parametrize(
+        "over, n_rows",
+        [
+            ({}, 4),
+            ({"kind": "rmse-vs-classes", "trials": 1, "sweep": {"n_classes": [2, 3]}}, 2),
+        ],
+        ids=["psafe-vs-time", "rmse-vs-classes"],
+    )
+    def test_reference_values_do_not_depend_on_the_timed_methods(
+        self, tmp_path, over, n_rows
+    ):
+        own = self.reference_column(tmp_path, ["mcmc-ours"], **over)
+        assert len(own) == n_rows
+        for timed in ("theoretical-all-hyp", "theoretical-pruned"):
+            assert self.reference_column(tmp_path, ["mcmc-ours", timed], **over) == own
+
+    @pytest.mark.parametrize(
+        "timed, per_step", [("theoretical-all-hyp", 1), ("theoretical-pruned", 2)]
+    )
+    def test_exact_updates_per_step(self, tmp_path, monkeypatch, timed, per_step):
+        """With the all-hypothesis method in the trial the exact belief is
+        updated once per step; a pruned one is never followed, so the
+        reference then updates its own."""
+        steps = []
+        update = AnalyticHybridBelief.update
+
+        def counted(belief, action, batch):
+            steps.append(batch.t)
+            return update(belief, action, batch)
+
+        monkeypatch.setattr(AnalyticHybridBelief, "update", counted)
+        cfg = ExperimentConfig.from_dict(dict(TINY, methods=["mcmc-ours", timed]))
+        run_experiment(cfg, tmp_path)
+        assert len(steps) == per_step * cfg.n_steps * cfg.trials
+
+    def test_reference_refuses_a_stale_belief(self, oracle_small):
+        streams = trial_streams(5, 0)
+        _, history = simulate(oracle_small, 2, streams.world, streams.noise)
+        timed = create_method("theoretical-all-hyp", oracle_small)
+        reference = create_method("theoretical-all-hyp", oracle_small, fast_conditional=True)
+        reference.follow(timed)
+        action, batch = history.actions[0], history.batches[0]
+        with pytest.raises(RuntimeError, match="update it before the reference"):
+            reference.update(action, batch)
+        timed.update(action, batch)
+        reference.update(action, batch)
+        assert reference.belief is timed.belief and reference.k == 1
+
+    def test_timed_prior_query_fills_its_own_memos(self, tmp_path, monkeypatch):
+        """At n_steps 0 the reference queries before the timed rows; it must
+        not fill the memos of the timed method's step-0 belief, or that
+        method's wall_ms would leave out work it pays for on its own."""
+        seen = []
+        estimate = _Method.estimate
+
+        def recorded(method, plan, n_samples, rng):
+            if method.tag == "theoretical-all-hyp" and not method.fast_conditional:
+                seen.append(method.belief._log_w is None)
+            return estimate(method, plan, n_samples, rng)
+
+        monkeypatch.setattr(_Method, "estimate", recorded)
+        cfg = ExperimentConfig.from_dict(
+            dict(
+                TINY,
+                kind="rmse-vs-samples",
+                methods=["theoretical-all-hyp"],
+                trials=1,
+                n_steps=0,
+                sweep={"n_samples": [20]},
+            )
+        )
+        run_experiment(cfg, tmp_path)
+        assert seen == [True]
+
+
 class TestCli:
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_field_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, trials=1.5)))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "trials must be an integer" in capsys.readouterr().err
 
     def test_kind_verb_mismatch(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

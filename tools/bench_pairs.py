@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Alternated benchmark pairs: a base commit against the working tree.
+
+    python3 tools/bench_pairs.py --out BENCH_x.json [--base HEAD] [--scratch DIR]
+
+The base commit is exported with `git archive` into the scratch directory
+(default `.bench_build/<commit>`).  Each workload gets PAIRS pairs of runs of
+BENCHMARK.json's own length; pair i runs `perfbench/run.py --seed SEED0+i`
+once in each tree, the base first on even pairs and the working tree first
+on odd ones.  For every end-to-end metric the output gives each side's
+median and quartiles, the ratio of medians and the pairs the working tree
+won (direction from BENCHMARK.json), plus each side's environment (with its
+source hash).  The class-sweep workload also gets one traced run per tree,
+reported per trial.  Standard library only; run it from the repository root.
+"""
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SEED0 = 3101
+# the layers the shared exact belief changes, on the class-sweep workload
+TRACE_WORKLOAD = "class-sweep"
+CLASS_SWEEP_TRACE_KEYS = (
+    "baselines.analytic.update.calls", "baselines.analytic.hypotheses_updated",
+    "baselines.analytic.update.ms", "harness.reference.update.calls",
+    "harness.reference.update.total_ms", "methods.theoretical-all-hyp.update.ms",
+    "gaussian.add_linear_factor.calls", "trace.self_check", "trace.prediction_met",
+)
+
+
+def export(base: str, scratch) -> tuple:
+    commit = subprocess.check_output(["git", "rev-parse", base], cwd=ROOT, text=True).strip()
+    tree = Path(scratch or ROOT / ".bench_build" / commit)
+    if not (tree / "perfbench" / "run.py").is_file():
+        tree.mkdir(parents=True, exist_ok=True)
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree)
+    return commit, tree
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        sys.exit(f"{' '.join(cmd)} in {tree} gave no result:\n{proc.stderr}")
+    out = json.loads(lines[-1])
+    out["env"] = next((json.loads(x[4:]) for x in lines if x.startswith("env ")), {})
+    out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    return out
+
+
+def quartiles(xs: list) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def pairs(trees: dict, workload: str, seconds: float, better: dict) -> dict:
+    runs, n = [], PAIRS
+    for i in range(n):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        got = {side: run(trees[side], workload, SEED0 + i, seconds) for side in order}
+        runs.append({"seed": SEED0 + i, "order": order, **{
+            side: {k: got[side][k] for k in ("correct", "attempted", "failed", "metrics")}
+            for side in order}})
+    summary = {}
+    for name, higher in better.items():
+        base = [r["base"]["metrics"][name] for r in runs if name in r["base"]["metrics"]]
+        change = [r["change"]["metrics"][name] for r in runs if name in r["change"]["metrics"]]
+        if len(base) < n or len(change) < n:
+            continue
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        b, c = quartiles(base), quartiles(change)
+        summary[name] = {"base": b, "change": c, "ratio_of_medians": c["median"] / b["median"],
+                         "change_better_pairs": f"{wins}/{n}"}
+    correct = all(r[side]["correct"] and not r[side]["failed"] for r in runs for side in trees)
+    env = {side: got[side]["env"] for side in trees}
+    return {"all_correct": correct, "summary": summary, "pairs": runs, "env": env}
+
+
+def traced(trees: dict, workload: str, seed: int, seconds: float) -> dict:
+    out = {}
+    for side, tree in trees.items():
+        res = run(tree, workload, seed, seconds, trace=1)
+        m, trials = res["metrics"], res["metrics"]["trace.trials"]
+        out[side] = {"trials": trials, "correct": res["correct"], "per_trial": {
+            k: (m[k] if k.startswith("trace.") else m[k] / trials) for k in CLASS_SWEEP_TRACE_KEYS if k in m}}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--base", default="HEAD")
+    ap.add_argument("--scratch", default=None)
+    args = ap.parse_args(argv)
+    commit, base_tree = export(args.base, args.scratch)
+    trees = {"base": base_tree, "change": ROOT}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    dirty = subprocess.check_output(["git", "status", "--porcelain", "--untracked-files=no"],
+                                    cwd=ROOT, text=True).strip()
+    result = {"base_commit": commit, "change": "working tree" + (" (uncommitted)" if dirty else ""),
+              "seconds": seconds, "seed0": SEED0, "workloads": {}, "traced": {}}
+    for w in bench["workloads"]:
+        result["workloads"][w["name"]] = pairs(trees, w["name"], seconds, better)
+        Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    result["traced"][TRACE_WORKLOAD] = traced(trees, TRACE_WORKLOAD, SEED0, seconds)
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
