@@ -72,12 +72,11 @@ def _top_k(log_weights: np.ndarray, keep: int) -> np.ndarray:
 class AnalyticHybridBelief:
     """Exact mixture belief: one Gaussian graph per tracked hypothesis."""
 
-    def __init__(self, scenario, labels_enum, graphs, log_prior_c, tag):
+    def __init__(self, scenario, labels_enum, graphs, log_prior_c):
         self.scenario = scenario
         self.labels_enum = labels_enum  # (n_tracked, n_objects) 0-based
         self.graphs = graphs
         self.log_prior_c = log_prior_c
-        self.tag = tag
         self._log_w = None
 
     @classmethod
@@ -85,9 +84,10 @@ class AnalyticHybridBelief:
         cls, scenario: Scenario, max_hypotheses: int = 1_000_000
     ) -> "AnalyticHybridBelief":
         labels_enum, log_prior_c = _hypothesis_prior(scenario, max_hypotheses)
-        base = prior_graph(scenario)
-        graphs = [base] + [base.copy() for _ in range(len(labels_enum) - 1)]
-        return cls(scenario, labels_enum, graphs, log_prior_c, "theoretical-all-hyp")
+        # one shared step-0 graph: append_step builds new graphs, never
+        # mutating its input, so the hypotheses part ways at the first update
+        graphs = [prior_graph(scenario)] * len(labels_enum)
+        return cls(scenario, labels_enum, graphs, log_prior_c)
 
     # ------------------------------------------------------------------
 
@@ -111,9 +111,7 @@ class AnalyticHybridBelief:
             append_step(g, action, batch, sc, sc.alphas[self.labels_enum[h]])
             for h, g in enumerate(self.graphs)
         ]
-        out = AnalyticHybridBelief(
-            sc, self.labels_enum, new_graphs, self.log_prior_c, self.tag
-        )
+        out = AnalyticHybridBelief(sc, self.labels_enum, new_graphs, self.log_prior_c)
         # Factor every hypothesis graph and form the new weights here, in the
         # filter step, not in the first query: psafe-vs-time rows time the
         # queries alone.
@@ -145,7 +143,6 @@ class AnalyticHybridBelief:
             self.labels_enum[sel],
             [self.graphs[i] for i in sel],
             self.log_prior_c[sel],
-            "theoretical-pruned",
         )
 
     # ------------------------------------------------------------------
@@ -159,8 +156,7 @@ class AnalyticHybridBelief:
         """Exact joint draws: hypothesis by weight, then its Gaussian."""
         return _mixture_sample(
             self.weights, self.labels_enum, n, self.index.dim,
-            lambda h, c: self.graphs[h].sample(rng, c), rng,
-            index=self.index, method=self.tag,
+            lambda h, c: self.graphs[h].sample(rng, c), rng, index=self.index,
         )
 
     def conditional_joint_probs(self, samples: np.ndarray) -> np.ndarray:
@@ -242,13 +238,12 @@ class HypothesisParticleFilter:
     effective sample size is kept as a degeneracy diagnostic.
     """
 
-    def __init__(self, scenario, labels_enum, particles, log_hyp_w, index, tag, diag):
+    def __init__(self, scenario, labels_enum, particles, log_hyp_w, index, diag):
         self.scenario = scenario
         self.labels_enum = labels_enum
         self.particles = particles  # (n_tracked, n_particles, dim)
         self.log_hyp_w = log_hyp_w
         self.index = index
-        self.tag = tag
         self.diagnostics = diag
 
     @classmethod
@@ -269,7 +264,6 @@ class HypothesisParticleFilter:
             particles,
             log_hyp_w,
             base.index,
-            "pf-all-hyp",
             {"n_particles": n_particles, "min_particle_ess": float(n_particles)},
         )
 
@@ -338,7 +332,6 @@ class HypothesisParticleFilter:
         self.labels_enum = self.labels_enum[sel]
         self.particles = self.particles[sel]
         self.log_hyp_w = self.log_hyp_w[sel] - logsumexp(self.log_hyp_w[sel])
-        self.tag = "pf-pruned"
 
     def mixture_mean(self) -> np.ndarray:
         return self.weights @ self.particles.mean(axis=1)
@@ -348,7 +341,7 @@ class HypothesisParticleFilter:
         return _mixture_sample(
             self.weights, self.labels_enum, n, self.index.dim,
             lambda h, c: self.particles[h, rng.integers(0, self.n_particles, size=c)],
-            rng, index=self.index, method=self.tag, diagnostics=dict(self.diagnostics),
+            rng, index=self.index, diagnostics=dict(self.diagnostics),
         )
 
     def hypothesis_state_set(
@@ -362,7 +355,6 @@ class HypothesisParticleFilter:
             log_weights=np.zeros(n),
             index=self.index,
             labels=labels,
-            method=self.tag,
         )
 
 

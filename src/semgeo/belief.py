@@ -92,6 +92,14 @@ class Hypothesis:
         return np.asarray(self.classes, dtype=np.int64) - 1
 
 
+def decode_labels(idx: np.ndarray, n_objects: int, n_classes: int) -> np.ndarray:
+    """(len(idx), n_objects) 0-based labels of int64 hypothesis indices."""
+    out = np.empty((len(idx), n_objects), dtype=np.int64)
+    for n in range(n_objects):
+        out[:, n] = (idx // n_classes**n) % n_classes
+    return out
+
+
 def enumerate_labels(
     n_objects: int, n_classes: int, max_hypotheses: int | None = None
 ) -> np.ndarray:
@@ -103,15 +111,12 @@ def enumerate_labels(
     count = n_classes**n_objects
     if max_hypotheses is not None and count > max_hypotheses:
         raise ValueError(
-            f"{count} hypotheses exceed the enumeration guard "
-            f"max_hypotheses={max_hypotheses}"
+            f"{count} hypotheses exceed the guard {max_hypotheses} "
+            f"(max_hypotheses={max_hypotheses}); use estimate_structured "
+            "or raise max_hypotheses deliberately"
         )
     total = n_hypotheses(n_objects, n_classes)
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, n_objects), dtype=np.int64)
-    for n in range(n_objects):
-        out[:, n] = (idx // n_classes**n) % n_classes
-    return out
+    return decode_labels(np.arange(total, dtype=np.int64), n_objects, n_classes)
 
 
 _EYE2 = np.eye(2)
@@ -177,14 +182,12 @@ class HybridBelief:
         sem_obj: np.ndarray,
         sem_t: np.ndarray,
         sem_z: np.ndarray,
-        k: int,
     ):
         self.scenario = scenario
         self.geo = geo
         self.sem_obj = np.asarray(sem_obj, dtype=np.int64)
         self.sem_t = np.asarray(sem_t, dtype=np.int64)
         self.sem_z = np.asarray(sem_z, dtype=np.float64).reshape(-1, 2)
-        self.k = k
         order = np.lexsort((self.sem_t, self.sem_obj))
         self.sem_obj = self.sem_obj[order]
         self.sem_t = self.sem_t[order]
@@ -202,11 +205,15 @@ class HybridBelief:
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "HybridBelief":
         empty = np.empty(0)
-        return cls(scenario, prior_graph(scenario), empty, empty, np.empty((0, 2)), 0)
+        return cls(scenario, prior_graph(scenario), empty, empty, np.empty((0, 2)))
 
     @property
     def index(self) -> StackedIndex:
         return self.geo.index
+
+    @property
+    def k(self) -> int:
+        return self.index.n_steps
 
     def update(self, action: np.ndarray, batch: ObservationBatch) -> "HybridBelief":
         """Condition on one motion step and its observation batch."""
@@ -221,7 +228,7 @@ class HybridBelief:
             [self.sem_t, np.full(len(batch.object_ids), batch.t, dtype=np.int64)]
         )
         sem_z = np.concatenate([self.sem_z, batch.semantic], axis=0)
-        return HybridBelief(sc, geo, sem_obj, sem_t, sem_z, self.k + 1)
+        return HybridBelief(sc, geo, sem_obj, sem_t, sem_z)
 
     # ------------------------------------------------------------------
     # class tables and derived quantities

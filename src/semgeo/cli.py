@@ -43,11 +43,6 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
     )
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument(
-        "--methods",
-        default=None,
-        help="comma-separated subset of the config's methods to run",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,6 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, kinds in _VERB_KINDS.items():
         p = sub.add_parser(verb, help=f"run a {'/'.join(kinds)} experiment")
         _add_common(p, config_required=True)
+        p.add_argument(
+            "--methods",
+            default=None,
+            help="comma-separated subset of the config's methods to run",
+        )
     p = sub.add_parser("oracle-check", help="run built-in consistency checks")
     _add_common(p, config_required=False)
     return parser
@@ -94,6 +94,8 @@ def main(argv=None) -> int:
             if args.config is not None:
                 with open(args.config, encoding="utf-8") as fh:
                     cfg = json.load(fh)
+                if not isinstance(cfg, dict):
+                    raise ConfigError(f"config must be an object, got {type(cfg).__name__}")
                 scenario = load_scenario(cfg.get("scenario", "oracle_small"))
             passed, checks = run_oracle_checks(
                 scenario, seed=args.seed if args.seed is not None else 0

@@ -118,7 +118,6 @@ class EstimateReport:
     std_error: float
     n_samples: int
     ess: float
-    method: str
     extras: dict = field(default_factory=dict)
 
 
@@ -136,17 +135,12 @@ def _base_values(term: RewardTerm, ctx: RewardContext, n: int) -> np.ndarray:
     return np.ones(n) if term.base is None else np.asarray(term.base(ctx), dtype=float)
 
 
-def _weighted_report(values, state_set, method=None, extras=None) -> EstimateReport:
+def _weighted_report(values, state_set) -> EstimateReport:
     w = state_set.weights
     value = float(w @ values)
     std_error = float(np.sqrt(np.sum(w**2 * (values - value) ** 2)))
     return EstimateReport(
-        value=value,
-        std_error=std_error,
-        n_samples=len(state_set),
-        ess=state_set.ess,
-        method=method or state_set.method,
-        extras=extras or {},
+        value=value, std_error=std_error, n_samples=len(state_set), ess=state_set.ess
     )
 
 
@@ -244,31 +238,20 @@ def estimate_explicit_c(
 ) -> EstimateReport:
     """Brute-force conditional expectation over every joint hypothesis.
 
-    Either factored class_probs (joint built as the per-object product) or an
-    explicit (n, n_hypotheses) joint_probs with its labels_enum.  Guarded by
-    max_hypotheses; pass a larger value deliberately to run bigger spaces.
-    The exact count is checked before anything is enumerated, so spaces past
-    the 64-bit hypothesis index are refused the same way.
+    Either factored class_probs (joint built as the per-object product, its
+    hypotheses enumerated under the max_hypotheses guard; pass a larger value
+    deliberately to run bigger spaces) or an explicit (n, n_hypotheses)
+    joint_probs with its labels_enum, already enumerated by the caller.
     """
     if joint_probs is None and class_probs is None:
         raise ValueError("need class_probs or joint_probs")
     if joint_probs is not None and labels_enum is None:
         raise ValueError("joint_probs requires labels_enum")
-    count = (
-        scenario.n_classes**scenario.n_objects
-        if joint_probs is None
-        else len(labels_enum)
-    )
-    if count > max_hypotheses:
-        raise ValueError(
-            f"{count} hypotheses exceed the guard {max_hypotheses}; "
-            "use estimate_structured or raise max_hypotheses deliberately"
-        )
     ctx = make_context(state_set, rollout, scenario, plan)
     if joint_probs is None:
+        labels_enum = enumerate_labels(scenario.n_objects, scenario.n_classes, max_hypotheses)
         class_probs = np.asarray(class_probs, dtype=float)
         _check_rows_normalized(class_probs)
-        labels_enum = enumerate_labels(scenario.n_objects, scenario.n_classes)
         joint_probs = np.ones((len(state_set), len(labels_enum)))
         for obj in range(scenario.n_objects):
             joint_probs *= class_probs[:, obj, labels_enum[:, obj]]
@@ -403,7 +386,6 @@ def rao_blackwell_gap(
             joint_probs=joint,
             labels_enum=belief.labels_enum,
             plan=plan,
-            max_hypotheses=max(10_000, belief.n_tracked),
         )
 
     # reference value from one large exact joint draw

@@ -107,17 +107,6 @@ class GaussianFactorGraph:
     def dim(self) -> int:
         return self._dim
 
-    def copy(self) -> "GaussianFactorGraph":
-        g = GaussianFactorGraph.__new__(GaussianFactorGraph)
-        g.index = self.index
-        g._dim = self._dim
-        g._H = self._H.copy()
-        g._theta = self._theta.copy()
-        g._log_const = self._log_const
-        g.n_factors = self.n_factors
-        g._cache = dict(self._cache)
-        return g
-
     def with_appended_step(self) -> "GaussianFactorGraph":
         """New graph with one more pose slot (zero precision until factored)."""
         if self.index is None:

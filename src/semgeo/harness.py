@@ -91,8 +91,20 @@ _INT_MINIMA = {
 }
 
 
+# the sweep key each swept kind runs over; its values are counts >= 1
+_SWEEP_KEYS = {
+    "rmse-vs-samples": "n_samples",
+    "rmse-vs-classes": "n_classes",
+    "rmse-vs-objects": "n_objects",
+}
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -146,6 +158,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object, got {type(d).__name__}")
         d = dict(d)
         kind = d.pop("kind", None)
         if kind not in ALL_KINDS:
@@ -176,7 +190,7 @@ class ExperimentConfig:
     def _validate(self) -> None:
         for name, low in _INT_MINIMA.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if low is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -185,12 +199,20 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigError(f"methods lists {repeated} more than once")
-        if self.kind == "rmse-vs-samples" and "n_samples" not in self.sweep:
-            raise ConfigError("rmse-vs-samples needs sweep.n_samples")
-        if self.kind == "rmse-vs-classes" and "n_classes" not in self.sweep:
-            raise ConfigError("rmse-vs-classes needs sweep.n_classes")
-        if self.kind == "rmse-vs-objects" and "n_objects" not in self.sweep:
-            raise ConfigError("rmse-vs-objects needs sweep.n_objects")
+        if not isinstance(self.sweep, dict):
+            raise ConfigError(f"sweep must be an object, got {self.sweep!r}")
+        key = _SWEEP_KEYS.get(self.kind)
+        if key is not None:
+            values = self.sweep.get(key)
+            if not (
+                isinstance(values, (list, tuple))
+                and values
+                and all(_is_int(v) and v >= 1 for v in values)
+            ):
+                raise ConfigError(
+                    f"{self.kind} needs sweep.{key}: a non-empty list of "
+                    f"integers >= 1, got {values!r}"
+                )
         if self.kind in ESTIMATION_KINDS + ("rmse-vs-samples",):
             need = self.n_steps + self.eval_horizon
             if len(self.scenario.actions) < need:
@@ -320,7 +342,7 @@ def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> 
     if cfg.kind == "rmse-vs-samples":
         plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
         ref_val = _reference_value(cfg, reference, plan, ref_rng)
-        for n_s in map(int, cfg.sweep["n_samples"]):
+        for n_s in cfg.sweep["n_samples"]:
             for m in methods.values():
                 rows.append(
                     _timed_row(
@@ -398,13 +420,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         rows = [r for res in results for r in res[0]]
         summary["stream_hashes"] = {str(res[1]["trial"]): res[1]["stream_hash"] for res in results}
     elif config.kind in ("rmse-vs-classes", "rmse-vs-objects"):
-        param = "n_classes" if config.kind == "rmse-vs-classes" else "n_objects"
+        param = _SWEEP_KEYS[config.kind]
         rows = []
         hashes = {}
         for value in config.sweep[param]:
-            scen = resize_scenario(config.scenario, **{param: int(value)})
+            scen = resize_scenario(config.scenario, **{param: value})
             results = _pmap(
-                partial(_size_sweep_trial, config, scen, int(value)),
+                partial(_size_sweep_trial, config, scen, value),
                 range(config.trials),
                 config.workers,
             )

@@ -124,7 +124,6 @@ class _MapMethod(_FactoredMethod):
             log_weights=np.zeros(n_samples),
             index=self.belief.index,
             labels=np.tile(labels, (n_samples, 1)),
-            method=self.tag,
         )
         return sset, None
 
@@ -195,7 +194,6 @@ class _TheoreticalMethod(_Method):
             joint_probs=probs,
             labels_enum=self.belief.labels_enum,
             plan=plan,
-            max_hypotheses=max(10_000, self.belief.n_tracked),
         )
 
 
@@ -223,8 +221,6 @@ class _ParticleMethod:
             self.pf = HypothesisParticleFilter.from_scenario(
                 self.scenario, rng, n_particles=self._n_particles
             )
-            if self.pruned:
-                self.pf.tag = "pf-pruned"
 
     def update(self, action, batch, rng) -> None:
         self._ensure(rng)
@@ -253,7 +249,6 @@ class _ParticleMethod:
             std_error=float(np.sqrt(var)),
             n_samples=n_samples * self.pf.n_tracked,
             ess=float(n_samples),
-            method=self.tag,
             extras=dict(self.pf.diagnostics),
         )
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import _kernels
-from .belief import HybridBelief, n_hypotheses
+from .belief import HybridBelief, decode_labels, n_hypotheses
 from .gaussian import StackedIndex
 
 
@@ -38,7 +38,6 @@ class WeightedStateSet:
     log_weights: np.ndarray  # (n,) unnormalized
     index: StackedIndex
     labels: np.ndarray | None = None  # (n, n_objects) 0-based
-    method: str = "custom"
     diagnostics: dict = field(default_factory=dict)
     # Normalized weights and ESS, computed on first read: every report on
     # the set reads them, and a set serves many plans at one step.  Not an
@@ -129,7 +128,6 @@ def mh_sample(
         samples=samples,
         log_weights=np.zeros(len(samples)),
         index=belief.index,
-        method="mcmc-ours",
         diagnostics=diagnostics,
     )
 
@@ -145,12 +143,7 @@ def snis_sample(
     log_w = belief.log_phi(samples)
     if not np.isfinite(logsumexp(log_w)):
         raise DegenerateWeightsError("all SNIS weights are zero")
-    sset = WeightedStateSet(
-        samples=samples,
-        log_weights=log_w,
-        index=belief.index,
-        method="snis-ours",
-    )
+    sset = WeightedStateSet(samples=samples, log_weights=log_w, index=belief.index)
     sset.diagnostics["ess"] = sset.ess
     return sset
 
@@ -179,10 +172,7 @@ def uniform_hypothesis_is(
     sc = belief.scenario
     total = n_hypotheses(sc.n_objects, sc.n_classes)
     samples = belief.geo.sample(rng, n_samples)
-    idx = rng.integers(0, total, size=n_samples)
-    labels = np.empty((n_samples, sc.n_objects), dtype=np.int64)
-    for n in range(sc.n_objects):
-        labels[:, n] = (idx // sc.n_classes**n) % sc.n_classes
+    labels = decode_labels(rng.integers(0, total, size=n_samples), sc.n_objects, sc.n_classes)
     tables = belief.class_log_tables(samples)
     rows = np.arange(n_samples)[:, None]
     objs = np.arange(sc.n_objects)[None, :]
@@ -194,6 +184,5 @@ def uniform_hypothesis_is(
         log_weights=log_w,
         index=belief.index,
         labels=labels,
-        method="uniform-hyp-is",
         diagnostics={"ess": log_ess(log_w)},
     )

@@ -203,10 +203,6 @@ class WorldTruth:
     def labels(self) -> np.ndarray:
         return self.classes - 1
 
-    @property
-    def pose(self) -> np.ndarray:
-        return self.trajectory[-1]
-
 
 @dataclass
 class ObservationBatch:

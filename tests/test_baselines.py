@@ -8,7 +8,7 @@ track the analytic hypothesis weights within Monte Carlo error.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
 from semgeo.baselines import (
@@ -18,7 +18,7 @@ from semgeo.baselines import (
     systematic_resample,
     verify_weight_recursion,
 )
-from semgeo.belief import HybridBelief, enumerate_labels
+from semgeo.belief import HybridBelief, enumerate_labels, prior_graph
 from semgeo.scenario import ScenarioError
 
 
@@ -35,7 +35,16 @@ class TestAnalyticBelief:
         _, history, _, _, _ = seeded_history
         b0 = AnalyticHybridBelief.from_scenario(oracle_small)
         b1 = b0.update(history.actions[0], history.batches[0])
-        assert (b0.k, b1.k) == (0, 1)
+        b2 = b1.update(history.actions[1], history.batches[1])
+        assert (b0.k, b1.k, b2.k) == (0, 1, 2)
+        # every hypothesis starts from one shared step-0 graph: updating
+        # must leave it exactly as prior_graph builds it
+        want = prior_graph(oracle_small)
+        assert len(b0.graphs) == b0.n_tracked
+        for g in b0.graphs:
+            assert_array_equal(g._H, want._H)
+            assert_array_equal(g._theta, want._theta)
+            assert_array_equal(g._log_const, want._log_const)
 
     def test_wrong_batch_t_raises(self, oracle_small, seeded_history):
         _, history, _, _, _ = seeded_history
@@ -118,7 +127,6 @@ class TestPrune:
         assert pruned.n_tracked == 2
         assert np.array_equal(pruned.labels_enum, analytic.labels_enum[top])
         assert_allclose(pruned.weights.sum(), 1.0, rtol=1e-12)
-        assert pruned.tag == "theoretical-pruned"
         # relative weights of survivors are preserved
         assert_allclose(
             pruned.weights, analytic.weights[top] / analytic.weights[top].sum(), rtol=1e-9
@@ -159,7 +167,6 @@ class TestParticleFilter:
         pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=4000)
         for action, batch in zip(history.actions, history.batches):
             pf.update(action, batch, rng)
-        assert pf.tag == "pf-all-hyp"
         assert np.max(np.abs(pf.weights - analytic.weights)) < 0.05
         assert np.argmax(pf.weights) == np.argmax(analytic.weights)
 
@@ -168,7 +175,6 @@ class TestParticleFilter:
         pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=128)
         pf.update(history.actions[0], history.batches[0], rng)
         pf.prune(keep=3)
-        assert pf.tag == "pf-pruned"
         assert pf.n_tracked == 3
         assert pf.particles.shape[0] == 3
         assert_allclose(np.exp(logsumexp(pf.log_hyp_w)), 1.0, rtol=1e-12)

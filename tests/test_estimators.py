@@ -251,6 +251,30 @@ class TestGuards:
                 class_probs=np.full((len(sset), 40, 4), 0.25),
             )
 
+    def test_enumerated_joint_is_not_guarded(self, rng):
+        """The guard sits where hypotheses are enumerated: a joint the caller
+        already holds is summed at any size, here 2**14 > 10_000."""
+        objects = [[2.0 + j, 0.0] for j in range(14)]
+        sc = point_scenario(14, 2, [0.0, 0.5], objects)
+        row = fixed_state_set([0.0, 0.0], objects)
+        sset = WeightedStateSet(
+            samples=row.samples[:2], log_weights=np.zeros(2), index=row.index
+        )
+        plan = OpenLoopPlan([[1.3, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        rollout = rollout_states(sset, plan, sc, rng)
+        labels_enum = enumerate_labels(14, 2)
+        joint = np.full((2, len(labels_enum)), 1.0 / len(labels_enum))
+        rep = estimate_explicit_c(
+            sset, rollout, safety_reward(sc), sc,
+            joint_probs=joint, labels_enum=labels_enum, plan=plan,
+        )
+        want = estimate_structured(
+            sset, rollout, safety_reward(sc), sc, np.full((2, 14, 2), 0.5), plan
+        )
+        assert len(labels_enum) == 16384
+        assert 0.0 < rep.value < 1.0
+        assert rep.value == pytest.approx(want.value, abs=1e-12)
+
 
 class TestSafety:
     def test_pointwise_mixture(self, rng):

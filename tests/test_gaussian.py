@@ -132,13 +132,6 @@ class TestGraphQueries:
         )
         np.testing.assert_allclose(g.log_density(x), direct, rtol=1e-9)
 
-    def test_copy_is_independent(self):
-        g = self.problem_graph()
-        h = g.copy()
-        h.add_prior([0], [0.0], [[1.0]])
-        assert h.n_factors == g.n_factors + 1
-        assert g.log_evidence != h.log_evidence
-
     def test_unconstrained_slot_raises_with_indices(self):
         g = GaussianFactorGraph(4)
         g.add_prior([0, 1], [0.0, 0.0], np.eye(2))

@@ -174,6 +174,34 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match=f"sweep.{key}"):
                 ExperimentConfig.from_dict(self.base(kind=kind))
 
+    @pytest.mark.parametrize(
+        "kind, sweep, message",
+        [
+            # was a bare TypeError from the key lookup
+            ("rmse-vs-classes", 5, "sweep must be an object, got 5"),
+            # was a ZeroDivisionError mid-run
+            ("rmse-vs-classes", {"n_classes": [0]}, "sweep.n_classes: a non-empty"),
+            # ran as 2 classes with its stream hashes keyed "2.7"
+            ("rmse-vs-classes", {"n_classes": [2.7]}, "sweep.n_classes: a non-empty"),
+            # ran nothing and returned an empty summary
+            ("rmse-vs-classes", {"n_classes": []}, "sweep.n_classes: a non-empty"),
+            # iterated the characters and ran 2 and 4 classes
+            ("rmse-vs-classes", {"n_classes": "24"}, "sweep.n_classes: a non-empty"),
+            # failed only mid-run, after earlier values had run
+            ("rmse-vs-samples", {"n_samples": [20, 0]}, "sweep.n_samples: a non-empty"),
+            ("rmse-vs-objects", {"n_objects": [2, 0]}, "sweep.n_objects: a non-empty"),
+        ],
+        ids=["sweep-not-object", "n_classes-zero", "n_classes-float", "n_classes-empty",
+             "n_classes-string", "n_samples-zero", "n_objects-zero"],
+    )
+    def test_invalid_sweep(self, kind, sweep, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(self.base(kind=kind, sweep=sweep))
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config must be an object, got list"):
+            ExperimentConfig.from_dict([1, 2])
+
     def test_not_enough_scenario_actions(self):
         # oracle_small ships 8 actions; 6 + 3 exceeds them
         with pytest.raises(ConfigError, match="n_steps"):
@@ -465,6 +493,22 @@ class TestCli:
         path.write_text(json.dumps(dict(TINY, trials=1.5)))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "trials must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["simulate", "oracle-check"])
+    def test_non_object_config_exits_2(self, verb, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main([verb, "--config", str(path)]) == 2
+        assert "config must be an object" in capsys.readouterr().err
+
+    def test_oracle_check_takes_no_methods(self, monkeypatch, capsys):
+        """oracle-check runs every check; it has no --methods to ignore."""
+        monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--methods", "gs-map"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --methods" in capsys.readouterr().err
 
     def test_kind_verb_mismatch(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

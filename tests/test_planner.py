@@ -153,7 +153,7 @@ class TestDiscretize:
 
 def _ev(p_safe: float, cost: float, horizon: int) -> dict:
     plan = OpenLoopPlan(np.zeros((horizon, 2)) + 0.1)
-    report = lambda v: EstimateReport(v, 0.0, 1, 1.0, "fixed")
+    report = lambda v: EstimateReport(v, 0.0, 1, 1.0)
     return {"plan": plan, "p_safe": report(p_safe), "cost": report(cost)}
 
 

@@ -125,7 +125,6 @@ class TestMechanics:
         sset = mh_sample(hybrid, 123, streams.sampler, McmcConfig(chains=4))
         assert len(sset) == 123
         np.testing.assert_array_equal(sset.log_weights, 0.0)
-        assert sset.method == "mcmc-ours"
         assert 0.0 <= sset.diagnostics["acceptance_rate"] <= 1.0
 
     def test_requires_positive_sample_count(self, seeded_history):

@@ -10,8 +10,11 @@ once in each tree, the base first on even pairs and the working tree first
 on odd ones.  For every end-to-end metric the output gives each side's
 median and quartiles, the ratio of medians and the pairs the working tree
 won (direction from BENCHMARK.json), plus each side's environment (with its
-source hash).  The class-sweep workload also gets one traced run per tree,
-reported per trial.  Standard library only; run it from the repository root.
+source hash).  Every run keeps the rows and summary digests from its gate
+line, and `same_output_pairs` counts the pairs whose two trees wrote
+byte-identical output on the same seed.  The class-sweep workload also gets
+one traced run per tree, reported per trial.  Standard library only; run it
+from the repository root.
 """
 
 import argparse
@@ -26,7 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SEED0 = 3101
-# the layers the shared exact belief changes, on the class-sweep workload
+DIGESTS = ("rows_sha256", "summary_sha256")
+# the exact-belief layers of the class-sweep workload, reported per trial
 TRACE_WORKLOAD = "class-sweep"
 CLASS_SWEEP_TRACE_KEYS = (
     "baselines.analytic.update.calls", "baselines.analytic.hypotheses_updated",
@@ -56,6 +60,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
         sys.exit(f"{' '.join(cmd)} in {tree} gave no result:\n{proc.stderr}")
     out = json.loads(lines[-1])
     out["env"] = next((json.loads(x[4:]) for x in lines if x.startswith("env ")), {})
+    gate = next((json.loads(x[5:]) for x in lines if x.startswith("gate ")), {})
+    out.update({d: gate.get(d) for d in DIGESTS})
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
     return out
 
@@ -71,7 +77,7 @@ def pairs(trees: dict, workload: str, seconds: float, better: dict) -> dict:
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         got = {side: run(trees[side], workload, SEED0 + i, seconds) for side in order}
         runs.append({"seed": SEED0 + i, "order": order, **{
-            side: {k: got[side][k] for k in ("correct", "attempted", "failed", "metrics")}
+            side: {k: got[side][k] for k in DIGESTS + ("correct", "attempted", "failed", "metrics")}
             for side in order}})
     summary = {}
     for name, higher in better.items():
@@ -84,8 +90,10 @@ def pairs(trees: dict, workload: str, seconds: float, better: dict) -> dict:
         summary[name] = {"base": b, "change": c, "ratio_of_medians": c["median"] / b["median"],
                          "change_better_pairs": f"{wins}/{n}"}
     correct = all(r[side]["correct"] and not r[side]["failed"] for r in runs for side in trees)
+    same = sum(all(r["base"][d] and r["base"][d] == r["change"][d] for d in DIGESTS) for r in runs)
     env = {side: got[side]["env"] for side in trees}
-    return {"all_correct": correct, "summary": summary, "pairs": runs, "env": env}
+    return {"all_correct": correct, "same_output_pairs": f"{same}/{n}", "summary": summary,
+            "pairs": runs, "env": env}
 
 
 def traced(trees: dict, workload: str, seed: int, seconds: float) -> dict:
