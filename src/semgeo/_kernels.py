@@ -8,6 +8,28 @@ Kernels:
     class_log_tables   per-sample, per-object, per-class log posterior table
     mh_scan            sequential accept/reject over precomputed proposals
     safety_products    all-future-poses-outside-disk indicators per class
+
+Layout.  The sample axis is the long one (hundreds to 100k) and the others
+are short (2 coordinates, 2-8 classes, 1-27 future steps), so the kernels
+loop in Python over the short axes and let each numpy pass run over
+samples.  Future poses arrive as rollout planes: a C-contiguous
+(n_future, 2, n_samples) block, one row of x and one of y per step, which
+safety_products reads through the transposed (n_samples, n_future, 2) view
+`FutureRollout.planes.transpose(2, 0, 1)`.  A minimum over the short axis
+is then a running elementwise np.minimum down the rows.
+
+Two numpy behaviours decide whether a rewrite keeps every float:
+    - a sum along a contiguous axis of 8 or more elements is pairwise (eight
+      partial sums, then combined), while a sum along a strided axis adds
+      left to right; a rewrite must keep which of the two each sum was.
+      The cost sums contiguous (n, horizon) rows, so it copies its
+      (horizon, n) distances to that layout first; the class tables summed
+      F-ordered (n, m) gathers, left to right, which (m, n) buffers summed
+      over axis 0 repeat;
+    - einsum picks its summation order from the operands' strides, so a
+      table handed to the estimators must keep its C-contiguous layout, not
+      come back as a transposed view with the same values.
+Min, max and elementwise arithmetic are exact in any order.
 """
 
 from __future__ import annotations
@@ -53,20 +75,38 @@ def class_log_tables(
         return out
     const = -_LOG_2PI - np.log(sigma2)
     inv = 0.5 / sigma2
+    b0 = min(ns, _CHUNK)
+    # per observed object: its observations' columns and measurements, and
+    # two (m_n, b) work buffers the class chain runs in, in place
+    groups = []
+    for n in range(n_obj):
+        sel = np.flatnonzero(obs_obj == n)
+        if len(sel):
+            groups.append((
+                n, obj_col[sel], pose_col[sel], obs_z[sel, 0:1], obs_z[sel, 1:2],
+                np.empty((len(sel), b0)), np.empty((len(sel), b0)),
+            ))
     for lo in range(0, ns, _CHUNK):
         hi = min(lo + _CHUNK, ns)
-        blk = samples[lo:hi]
-        rx = blk[:, obj_col] - blk[:, pose_col]  # (b, m)
-        ry = blk[:, obj_col + 1] - blk[:, pose_col + 1]
-        for c in range(n_cls):
-            a = alphas[c]
-            dx = obs_z[None, :, 0] - a * rx
-            dy = obs_z[None, :, 1] - a * ry
-            ll = const - inv * (dx * dx + dy * dy)  # (b, m)
-            for n in range(n_obj):
-                sel = obs_obj == n
-                if np.any(sel):
-                    out[lo:hi, n, c] += ll[:, sel].sum(axis=1)
+        cols = np.ascontiguousarray(samples[lo:hi].T)  # (dim, b)
+        for n, oc, pc, zx, zy, bx, by in groups:
+            rx = cols[oc] - cols[pc]  # (m_n, b)
+            ry = cols[oc + 1] - cols[pc + 1]
+            dx, dy = bx[:, : hi - lo], by[:, : hi - lo]
+            for c in range(n_cls):
+                # ll = const - inv * ((zx - a*rx)**2 + (zy - a*ry)**2)
+                a = alphas[c]
+                np.multiply(rx, a, out=dx)
+                np.subtract(zx, dx, out=dx)
+                np.multiply(ry, a, out=dy)
+                np.subtract(zy, dy, out=dy)
+                np.multiply(dx, dx, out=dx)
+                np.multiply(dy, dy, out=dy)
+                np.add(dx, dy, out=dx)
+                np.multiply(dx, inv, out=dx)
+                np.subtract(const, dx, out=dx)
+                # summed over observations one row at a time, left to right
+                out[lo:hi, n, c] += dx.sum(axis=0)
     return out
 
 
@@ -111,32 +151,35 @@ def mh_scan(log_target, log_u):
 def safety_products(future_xy, object_xy, radii):
     """Indicator that every future pose clears the class-c disk of object n.
 
-    future_xy: (ns, n_future, 2) rolled-out poses (current pose excluded);
+    future_xy: (ns, n_future, 2) rolled-out poses (current pose excluded),
+    fastest as the transposed view of (n_future, 2, ns) rollout planes;
     object_xy: (ns, n_objects, 2) sampled object positions; radii: per-class
-    disk radii.  Returns (ns, n_objects, n_classes) of 0/1 floats; an empty
-    future axis yields all ones.
+    disk radii.  Returns a C-contiguous (ns, n_objects, n_classes) table of
+    0/1 floats; an empty future axis yields all ones.
     """
-    future_xy = np.ascontiguousarray(future_xy, dtype=np.float64)
-    object_xy = np.ascontiguousarray(object_xy, dtype=np.float64)
+    future_xy = np.asarray(future_xy, dtype=np.float64)
+    object_xy = np.asarray(object_xy, dtype=np.float64)
     radii = np.ascontiguousarray(radii, dtype=np.float64)
     ns, n_t, _ = future_xy.shape
     n_obj = object_xy.shape[1]
     n_cls = len(radii)
     out = np.empty((ns, n_obj, n_cls))
-    r2 = radii * radii
     if n_t == 0:
         out[:] = 1.0
         return out
-    fx = future_xy[:, :, 0]
-    fy = future_xy[:, :, 1]
+    r2 = (radii * radii)[:, None]
+    planes = future_xy.transpose(1, 2, 0)  # (n_future, 2, ns)
+    stage = np.empty((n_cls, min(ns, _CHUNK)))
     for lo in range(0, ns, _CHUNK):
         hi = min(lo + _CHUNK, ns)
+        st = stage[:, : hi - lo]
         for n in range(n_obj):
-            # squared distances on the x/y planes, (b, n_future)
-            dx = fx[lo:hi] - object_xy[lo:hi, n, 0:1]
-            dy = fy[lo:hi] - object_xy[lo:hi, n, 1:2]
+            # squared distances on the x/y planes, (n_future, b)
+            dx = planes[:, 0, lo:hi] - object_xy[lo:hi, n, 0]
+            dy = planes[:, 1, lo:hi] - object_xy[lo:hi, n, 1]
             dx *= dx
             dy *= dy
             dx += dy
-            np.greater(dx.min(axis=1)[:, None], r2[None, :], out=out[lo:hi, n, :])
+            np.greater(dx.min(axis=0), r2, out=st)
+            out[lo:hi, n, :] = st.T
     return out

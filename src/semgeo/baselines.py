@@ -59,7 +59,10 @@ def _mixture_sample(weights, labels_enum, n, dim, draw, rng, **fields):
         pos += c
     perm = rng.permutation(n)
     return WeightedStateSet(
-        samples=samples[perm], log_weights=np.zeros(n), labels=labels[perm], **fields
+        samples=np.take(samples, perm, axis=0),
+        log_weights=np.zeros(n),
+        labels=np.take(labels, perm, axis=0),
+        **fields,
     )
 
 

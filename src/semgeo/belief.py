@@ -265,9 +265,15 @@ class HybridBelief:
     def class_posterior_given_state(self, samples: np.ndarray) -> np.ndarray:
         """Row-stochastic (ns, n_objects, n_classes) table of b[c_n | X]."""
         tables = self.class_log_tables(samples)
-        tables = tables - tables.max(axis=2, keepdims=True)
-        probs = np.exp(tables)
-        return probs / probs.sum(axis=2, keepdims=True)
+        # the class max as a running maximum over the class slices: exact,
+        # and a pass over samples rather than a reduction over 2-8 classes
+        top = tables[:, :, 0].copy()
+        for c in range(1, tables.shape[2]):
+            np.maximum(top, tables[:, :, c], out=top)
+        tables -= top[:, :, None]
+        np.exp(tables, out=tables)
+        tables /= tables.sum(axis=2, keepdims=True)
+        return tables
 
     def sample_hypothesis_given_state(
         self, samples: np.ndarray, rng: np.random.Generator

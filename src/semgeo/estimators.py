@@ -19,6 +19,7 @@ validates that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +54,22 @@ class OpenLoopPlan:
 
 @dataclass
 class FutureRollout:
-    """Sampled future poses x_{k+1} .. x_L per state sample."""
+    """Sampled future poses x_{k+1} .. x_L per state sample.
 
-    poses: np.ndarray  # (n, horizon, 2)
+    planes is the stored form: a C-contiguous (horizon, 2, n) block, row
+    planes[t, 0] the x and planes[t, 1] the y of step t for every sample,
+    so each pass of the rollout, safety and cost kernels runs over samples.
+    poses is the (n, horizon, 2) C-contiguous array of the same values,
+    built on first read for reward elements, oracles and tests; a
+    transposed view would change the summation order of any row sum taken
+    on it (see _kernels).
+    """
+
+    planes: np.ndarray
+
+    @functools.cached_property
+    def poses(self) -> np.ndarray:
+        return np.ascontiguousarray(self.planes.transpose(2, 0, 1))
 
 
 def rollout_states(
@@ -64,19 +78,29 @@ def rollout_states(
     scenario: Scenario,
     rng: np.random.Generator,
 ) -> FutureRollout:
-    """Propagate each sample's current pose through the plan with motion noise."""
+    """Propagate each sample's current pose through the plan with motion noise.
+
+    The noise is the stream of one rng.normal(0, sqrt(sigma2_x), (n, h, 2))
+    draw (rng.normal(0, s) is 0.0 + s * standard_normal), drawn in blocks of
+    _CHUNK samples, each block transposed into the planes.
+    """
     x = state_set.index.current_pose(state_set.samples)
     n = len(state_set)
     h = plan.horizon
+    planes = np.empty((h, 2, n))
     if h == 0:
-        return FutureRollout(poses=np.empty((n, 0, 2)))
-    # rng.normal(0, s) is 0.0 + s * standard_normal: same draws, same values
-    steps = rng.standard_normal(size=(n, h, 2))
-    steps *= math.sqrt(scenario.sigma2_x)
-    steps += plan.actions
-    np.cumsum(steps, axis=1, out=steps)
-    steps += x[:, None, :]
-    return FutureRollout(poses=steps)
+        return FutureRollout(planes=planes)
+    scale = math.sqrt(scenario.sigma2_x)
+    for lo in range(0, n, _kernels._CHUNK):
+        hi = min(lo + _kernels._CHUNK, n)
+        block = rng.standard_normal(size=(hi - lo, h, 2))
+        np.multiply(block.transpose(1, 2, 0), scale, out=planes[:, :, lo:hi])
+    planes += plan.actions[:, :, None]
+    # the cumulative sum over steps, as np.cumsum forms it: left to right
+    for t in range(1, h):
+        planes[t] += planes[t - 1]
+    planes += np.ascontiguousarray(x.T)
+    return FutureRollout(planes=planes)
 
 
 @dataclass
@@ -269,7 +293,7 @@ def _safety_elements(ctx: RewardContext) -> np.ndarray:
     if "safety_elements" not in ctx.cache:
         object_xy = ctx.index.object_xy(ctx.samples)
         ctx.cache["safety_elements"] = _kernels.safety_products(
-            ctx.rollout.poses, object_xy, ctx.scenario.unsafe_radius
+            ctx.rollout.planes.transpose(2, 0, 1), object_xy, ctx.scenario.unsafe_radius
         )
     return ctx.cache["safety_elements"]
 
@@ -287,11 +311,11 @@ def safety_reward(scenario: Scenario) -> StructuredReward:
     )
 
 
-def _goal_distance(xy: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """|xy - goal| over the last axis; the same float as np.linalg.norm,
-    which is sqrt(add.reduce(d * d)) and so sqrt(dx*dx + dy*dy)."""
-    dx = xy[..., 0] - goal[0]
-    dy = xy[..., 1] - goal[1]
+def _goal_distance(x: np.ndarray, y: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """|(x, y) - goal| elementwise; the same float as np.linalg.norm over a
+    last axis of 2, which is sqrt(add.reduce(d * d)) and so sqrt(dx*dx + dy*dy)."""
+    dx = x - goal[0]
+    dy = y - goal[1]
     dx *= dx
     dy *= dy
     dx += dy
@@ -305,9 +329,12 @@ def expected_cost(state_set, rollout, plan, scenario) -> EstimateReport:
     over t = k .. L, plus the deterministic sum of action norms.
     """
     x_now = state_set.index.current_pose(state_set.samples)
-    dist = _goal_distance(x_now, scenario.goal)
-    if rollout.poses.shape[1]:
-        dist = dist + _goal_distance(rollout.poses, scenario.goal).sum(axis=1)
+    dist = _goal_distance(x_now[:, 0], x_now[:, 1], scenario.goal)
+    planes = rollout.planes
+    if len(planes):
+        steps = _goal_distance(planes[:, 0], planes[:, 1], scenario.goal)  # (h, n)
+        # summed as contiguous (n, h) rows: numpy sums 8 or more pairwise
+        dist = dist + np.ascontiguousarray(steps.T).sum(axis=1)
     action_cost = float(np.linalg.norm(plan.actions, axis=1).sum())
     report = _weighted_report(dist + action_cost, state_set)
     report.extras["action_cost"] = action_cost

@@ -211,8 +211,11 @@ class GaussianFactorGraph:
         mean = self.mean
         xi = rng.standard_normal((self.dim, n))
         # H = L L^T  =>  cov = L^{-T} L^{-1}; x = mean + L^{-T} xi
-        dev = linalg.solve_triangular(low, xi, lower=True, trans="T")
-        return mean[None, :] + dev.T
+        # xi is finite by construction and cho_factor has checked `low`
+        dev = linalg.solve_triangular(low, xi, lower=True, trans="T", check_finite=False)
+        out = dev.T
+        out += mean
+        return out
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Normalized posterior log density at x, batched over leading axis."""

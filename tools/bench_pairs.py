@@ -12,9 +12,12 @@ median and quartiles, the ratio of medians and the pairs the working tree
 won (direction from BENCHMARK.json), plus each side's environment (with its
 source hash).  Every run keeps the rows and summary digests from its gate
 line, and `same_output_pairs` counts the pairs whose two trees wrote
-byte-identical output on the same seed.  The class-sweep workload also gets
-one traced run per tree, reported per trial.  Standard library only; run it
-from the repository root.
+byte-identical output on the same seed.  Every workload also gets TRACED
+alternated traced runs per tree (`--trace 1`, seed SEED0+i for run i, the
+base first on even runs): each of BENCHMARK.json's per-layer metrics is
+reported per trial, as the median and min-max over those runs, beside each
+run's trial count, self-check, prediction and top self-time layers.
+Standard library only; run it from the repository root.
 """
 
 import argparse
@@ -30,14 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SEED0 = 3101
 DIGESTS = ("rows_sha256", "summary_sha256")
-# the exact-belief layers of the class-sweep workload, reported per trial
-TRACE_WORKLOAD = "class-sweep"
-CLASS_SWEEP_TRACE_KEYS = (
-    "baselines.analytic.update.calls", "baselines.analytic.hypotheses_updated",
-    "baselines.analytic.update.ms", "harness.reference.update.calls",
-    "harness.reference.update.total_ms", "methods.theoretical-all-hyp.update.ms",
-    "gaussian.add_linear_factor.calls", "trace.self_check", "trace.prediction_met",
-)
+TRACED = 3  # traced runs per tree and workload
 
 
 def export(base: str, scratch) -> tuple:
@@ -60,6 +56,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
         sys.exit(f"{' '.join(cmd)} in {tree} gave no result:\n{proc.stderr}")
     out = json.loads(lines[-1])
     out["env"] = next((json.loads(x[4:]) for x in lines if x.startswith("env ")), {})
+    out["trace"] = next((json.loads(x[6:]) for x in lines if x.startswith("trace ")), {})
     gate = next((json.loads(x[5:]) for x in lines if x.startswith("gate ")), {})
     out.update({d: gate.get(d) for d in DIGESTS})
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
@@ -96,14 +93,32 @@ def pairs(trees: dict, workload: str, seconds: float, better: dict) -> dict:
             "pairs": runs, "env": env}
 
 
-def traced(trees: dict, workload: str, seed: int, seconds: float) -> dict:
-    out = {}
-    for side, tree in trees.items():
-        res = run(tree, workload, seed, seconds, trace=1)
-        m, trials = res["metrics"], res["metrics"]["trace.trials"]
-        out[side] = {"trials": trials, "correct": res["correct"], "per_trial": {
-            k: (m[k] if k.startswith("trace.") else m[k] / trials) for k in CLASS_SWEEP_TRACE_KEYS if k in m}}
-    return out
+def per_trial(name: str, unit: str) -> bool:
+    """Whether a per-layer metric is a run total, reported divided by trials."""
+    return unit in ("ms", "count") and not name.endswith("_per_call") and name != "trace.trials"
+
+
+def traced(trees: dict, workload: str, seconds: float, layers: dict) -> dict:
+    values = {side: {} for side in trees}
+    runs = []
+    for i in range(TRACED):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            res = run(trees[side], workload, SEED0 + i, seconds, trace=1)
+            m, trials = res["metrics"], res["metrics"]["trace.trials"]
+            for name, unit in layers.items():
+                if name in m:
+                    v = m[name] / trials if per_trial(name, unit) else m[name]
+                    values[side].setdefault(name, []).append(v)
+            top = res["trace"].get("top_self_ms", {})
+            runs.append({"seed": SEED0 + i, "side": side, "trials": trials,
+                         "correct": res["correct"], "failed": res["failed"],
+                         "self_check": m.get("trace.self_check"),
+                         "prediction": res["trace"].get("prediction"),
+                         "top_self_ms_per_trial": {k: v / trials for k, v in top.items()}})
+    per_layer = {side: {name: {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
+                        for name, xs in got.items()} for side, got in values.items()}
+    return {"runs": runs, "per_trial": per_layer}
 
 
 def main(argv=None) -> int:
@@ -121,11 +136,13 @@ def main(argv=None) -> int:
                                     cwd=ROOT, text=True).strip()
     result = {"base_commit": commit, "change": "working tree" + (" (uncommitted)" if dirty else ""),
               "seconds": seconds, "seed0": SEED0, "workloads": {}, "traced": {}}
+    layers = {m["name"]: m["unit"] for m in bench["per_layer"]}
     for w in bench["workloads"]:
         result["workloads"][w["name"]] = pairs(trees, w["name"], seconds, better)
         Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    result["traced"][TRACE_WORKLOAD] = traced(trees, TRACE_WORKLOAD, SEED0, seconds)
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    for w in bench["workloads"]:
+        result["traced"][w["name"]] = traced(trees, w["name"], seconds, layers)
+        Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 
