@@ -14,7 +14,7 @@ from .baselines import (
     gs_map_estimate,
     verify_weight_recursion,
 )
-from .belief import CodecRangeError, Hypothesis, HybridBelief, enumerate_labels
+from .belief import CodecRangeError, HybridBelief, enumerate_labels
 from .estimators import (
     EstimateReport,
     FutureRollout,

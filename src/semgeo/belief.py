@@ -15,13 +15,9 @@ class-sum potential
 turns the unnormalized continuous marginal into b_g[X] * phi(X), so the
 joint hypothesis space never has to be enumerated: all class structure is
 carried by per-object tables of size n_objects x n_classes.
-
-Class ids are 1-based in Hypothesis; array code uses 0-based labels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -47,49 +43,6 @@ def n_hypotheses(n_objects: int, n_classes: int) -> int:
             f"{n_classes}**{n_objects} hypotheses exceed the 2**63 index range"
         )
     return count
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """One joint class assignment; classes are 1-based, object order fixed.
-
-    The linear index treats object 0 as the least significant digit:
-    index = sum_n (classes[n] - 1) * n_classes**n.
-    """
-
-    classes: tuple
-    n_classes: int
-
-    def __post_init__(self):
-        if any(not 1 <= c <= self.n_classes for c in self.classes):
-            raise ValueError(f"classes must lie in 1..{self.n_classes}")
-        n_hypotheses(len(self.classes), self.n_classes)
-
-    @property
-    def n_objects(self) -> int:
-        return len(self.classes)
-
-    @property
-    def index(self) -> int:
-        idx = 0
-        for n in reversed(range(self.n_objects)):
-            idx = idx * self.n_classes + (self.classes[n] - 1)
-        return idx
-
-    @classmethod
-    def from_index(cls, index: int, n_objects: int, n_classes: int) -> "Hypothesis":
-        total = n_hypotheses(n_objects, n_classes)
-        if not 0 <= index < total:
-            raise ValueError(f"index {index} outside 0..{total - 1}")
-        classes = []
-        for _ in range(n_objects):
-            classes.append(index % n_classes + 1)
-            index //= n_classes
-        return cls(classes=tuple(classes), n_classes=n_classes)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.asarray(self.classes, dtype=np.int64) - 1
 
 
 def decode_labels(idx: np.ndarray, n_objects: int, n_classes: int) -> np.ndarray:

@@ -1,5 +1,13 @@
 """Experiment harness: config parsing, trial loops, metrics, oracle checks.
 
+The four estimation kinds run one trial loop, `_estimation_trial`: they
+differ only in where they query (after every step for psafe-vs-time, after
+the last step for the sweeps), in the sample counts queried (the sweep's for
+rmse-vs-samples) and in the scenario (resized per value for the class and
+object sweeps).  A row's wall_ms is its p_safe query alone; on a resized
+scenario it also counts that method's summed update time, since update cost
+is what grows with the class and object counts.
+
 Fairness contract: within a trial every method consumes the byte-identical
 action/observation stream, generated once from the trial's noise substream;
 the stream hash is recorded in the summary.  Reference values come from the
@@ -97,6 +105,8 @@ _SWEEP_KEYS = {
     "rmse-vs-classes": "n_classes",
     "rmse-vs-objects": "n_objects",
 }
+# the swept kinds that run every value on a resized scenario
+_RESIZE_KINDS = ("rmse-vs-classes", "rmse-vs-objects")
 
 
 class ConfigError(ValueError):
@@ -281,31 +291,6 @@ def resize_scenario(
 # estimation experiments
 
 
-def _eval_plan(scenario: Scenario, step: int, horizon: int) -> OpenLoopPlan:
-    return OpenLoopPlan(scenario.actions[step : step + horizon])
-
-
-def _trial_setup(cfg: ExperimentConfig, scenario: Scenario, trial: int):
-    """A trial's sampler rng, history and methods, plus the untimed reference
-    (following the timed exact belief when the trial runs one) and the rng
-    of its queries."""
-    streams = trial_streams(cfg.seed, trial)
-    _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
-    methods = {
-        tag: create_method(tag, scenario, **cfg.method_options(tag))
-        for tag in cfg.methods
-    }
-    reference = create_method("theoretical-all-hyp", scenario, fast_conditional=True)
-    if "theoretical-all-hyp" in methods:
-        reference.follow(methods["theoretical-all-hyp"])
-    ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
-    return streams.sampler, history, methods, reference, ref_rng
-
-
-def _reference_value(cfg: ExperimentConfig, reference, plan, ref_rng) -> float:
-    return reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
-
-
 def _timed_row(method, plan, n_samples: int, rng, ref_val: float, extra_s=0.0, **where):
     """One metric row: a p_safe query timed alone, plus extra_s seconds."""
     t0 = time.perf_counter()
@@ -322,58 +307,55 @@ def _timed_row(method, plan, n_samples: int, rng, ref_val: float, extra_s=0.0, *
     )
 
 
-def _estimation_trial(cfg: ExperimentConfig, scenario: Scenario, trial: int) -> list:
-    rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
-    rows = []
-    for step, (action, batch) in enumerate(zip(history.actions, history.batches), 1):
-        # the timed methods first: the reference may follow one of them
-        for m in methods.values():
-            m.update(action, batch, rng)
-        reference.update(action, batch)
-        if cfg.kind == "psafe-vs-time":
-            plan = _eval_plan(scenario, step, cfg.eval_horizon)
-            ref_val = _reference_value(cfg, reference, plan, ref_rng)
-            for m in methods.values():
-                rows.append(
-                    _timed_row(
-                        m, plan, cfg.n_samples, rng, ref_val, trial=trial, time_step=step
-                    )
-                )
-    if cfg.kind == "rmse-vs-samples":
-        plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-        ref_val = _reference_value(cfg, reference, plan, ref_rng)
-        for n_s in cfg.sweep["n_samples"]:
-            for m in methods.values():
-                rows.append(
-                    _timed_row(
-                        m, plan, n_s, rng, ref_val,
-                        trial=trial, time_step=cfg.n_steps, sweep_value=n_s,
-                    )
-                )
-    return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
-
-
-def _size_sweep_trial(
+def _estimation_trial(
     cfg: ExperimentConfig, scenario: Scenario, sweep_value, trial: int
 ) -> list:
-    rng, history, methods, reference, ref_rng = _trial_setup(cfg, scenario, trial)
+    """One trial of an estimation kind: its rows and its stream hash.
+
+    Every step updates the timed methods in config order, each update timed,
+    then the untimed reference (which may follow one of them).  Queries run
+    after every step for psafe-vs-time and once after the last step for the
+    sweeps: the reference value first, then one row per (sample count,
+    method).  A row's wall_ms is its query alone, plus the method's summed
+    update time when the sweep resizes the scenario."""
+    streams = trial_streams(cfg.seed, trial)
+    _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
+    rng = streams.sampler
+    methods = {
+        tag: create_method(tag, scenario, **cfg.method_options(tag))
+        for tag in cfg.methods
+    }
+    reference = create_method("theoretical-all-hyp", scenario, fast_conditional=True)
+    if "theoretical-all-hyp" in methods:
+        reference.follow(methods["theoretical-all-hyp"])
+    ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
+    per_step = cfg.kind == "psafe-vs-time"
+    resized = cfg.kind in _RESIZE_KINDS
+    sample_sweep = cfg.kind == "rmse-vs-samples"
+    sample_counts = cfg.sweep["n_samples"] if sample_sweep else [cfg.n_samples]
     update_s = dict.fromkeys(methods, 0.0)
-    for action, batch in zip(history.actions, history.batches):
-        # the timed methods first: the reference may follow one of them
-        for tag, m in methods.items():
-            t0 = time.perf_counter()
-            m.update(action, batch, rng)
-            update_s[tag] += time.perf_counter() - t0
-        reference.update(action, batch)
-    plan = _eval_plan(scenario, cfg.n_steps, cfg.eval_horizon)
-    ref_val = _reference_value(cfg, reference, plan, ref_rng)
-    rows = [
-        _timed_row(
-            m, plan, cfg.n_samples, rng, ref_val, update_s[tag],
-            trial=trial, time_step=cfg.n_steps, sweep_value=sweep_value,
-        )
-        for tag, m in methods.items()
-    ]
+    rows = []
+    for step in range(cfg.n_steps + 1):
+        if step:
+            action, batch = history.actions[step - 1], history.batches[step - 1]
+            for tag, m in methods.items():
+                t0 = time.perf_counter()
+                m.update(action, batch, rng)
+                update_s[tag] += time.perf_counter() - t0
+            reference.update(action, batch)
+        if not (step > 0 if per_step else step == cfg.n_steps):
+            continue
+        plan = OpenLoopPlan(scenario.actions[step : step + cfg.eval_horizon])
+        ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
+        for n_s in sample_counts:
+            for tag, m in methods.items():
+                rows.append(
+                    _timed_row(
+                        m, plan, n_s, rng, ref_val, update_s[tag] if resized else 0.0,
+                        trial=trial, time_step=step,
+                        sweep_value=n_s if sample_sweep else sweep_value,
+                    )
+                )
     return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
 
 
@@ -411,31 +393,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         "config": cfg_dict,
     }
     t_start = time.perf_counter()
-    if config.kind in ("psafe-vs-time", "rmse-vs-samples"):
-        results = _pmap(
-            partial(_estimation_trial, config, config.scenario),
-            range(config.trials),
-            config.workers,
-        )
-        rows = [r for res in results for r in res[0]]
-        summary["stream_hashes"] = {str(res[1]["trial"]): res[1]["stream_hash"] for res in results}
-    elif config.kind in ("rmse-vs-classes", "rmse-vs-objects"):
-        param = _SWEEP_KEYS[config.kind]
-        rows = []
-        hashes = {}
-        for value in config.sweep[param]:
-            scen = resize_scenario(config.scenario, **{param: value})
-            results = _pmap(
-                partial(_size_sweep_trial, config, scen, value),
-                range(config.trials),
-                config.workers,
-            )
-            rows.extend(r for res in results for r in res[0])
-            hashes[str(value)] = {
-                str(res[1]["trial"]): res[1]["stream_hash"] for res in results
-            }
-        summary["stream_hashes"] = hashes
-    elif config.kind == "planning-table":
+    if config.kind == "planning-table":
         items = [(t, tag) for t in range(config.trials) for tag in config.methods]
         results = _pmap(
             partial(_planning_trial, config, config.scenario), items, config.workers
@@ -446,8 +404,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         files = emit_planning(plan_rows, summary, out, prefix=config.kind)
         summary["files"] = files
         return summary
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unhandled kind {config.kind}")
+    resized = config.kind in _RESIZE_KINDS
+    param = _SWEEP_KEYS.get(config.kind)
+    rows = []
+    hashes = {}
+    for value in config.sweep[param] if resized else [""]:
+        scen = resize_scenario(config.scenario, **{param: value}) if resized else config.scenario
+        results = _pmap(
+            partial(_estimation_trial, config, scen, value),
+            range(config.trials),
+            config.workers,
+        )
+        rows.extend(r for res in results for r in res[0])
+        hashes[str(value)] = {str(res[1]["trial"]): res[1]["stream_hash"] for res in results}
+    summary["stream_hashes"] = hashes if resized else hashes[""]
     summary.update(_summarize_metrics(rows))
     summary["wall_s"] = time.perf_counter() - t_start
     files = emit_plotdata(rows, summary, out, prefix=config.kind)

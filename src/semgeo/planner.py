@@ -35,7 +35,6 @@ class PlannerConfig:
     n_samples: int = 200
     goal_radius: float = 1.0
     max_steps: int = 40
-    replan_every: int = 1  # 0 commits to the whole selected plan
     method_options: dict = field(default_factory=dict)
 
 
@@ -213,20 +212,8 @@ def run_planning_trial(
             stopped = True
             break
         plan = evaluations[choice]["plan"]
-        to_run = (
-            plan.actions
-            if config.replan_every == 0
-            else plan.actions[: config.replan_every]
-        )
-        executed = 0
-        for action in to_run:
-            execute(action)
-            executed += 1
-            if len(traj) - 1 >= config.max_steps:
-                break
-            if np.linalg.norm(x - scenario.goal) <= config.goal_radius:
-                break
-        tail = plan.actions[executed:]
+        execute(plan.actions[0])
+        tail = plan.actions[1:]
 
     traj_arr = np.asarray(traj)
     reached = bool(np.linalg.norm(x - scenario.goal) <= config.goal_radius)

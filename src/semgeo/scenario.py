@@ -13,8 +13,8 @@ single-integrator with additive Gaussian noise:
 
 * transition: x' = x + a + w,  w ~ N(0, sigma2_x * I)
 
-All positions are 2D.  Class ids are 1-based in public APIs; 0-based "labels"
-are used for array indexing.
+All positions are 2D.  Classes are 0-based labels throughout, used directly
+for array indexing.
 """
 
 from __future__ import annotations
@@ -144,10 +144,6 @@ class Scenario:
             self.actions = self.opening_actions.copy()
         self.actions = np.asarray(self.actions, dtype=float).reshape(-1, 2)
 
-    @property
-    def n_hypotheses(self) -> int:
-        return self.n_classes**self.n_objects
-
     def log_class_prior(self) -> np.ndarray:
         """(n_objects, n_classes) log prior table; -inf where prior is 0."""
         with np.errstate(divide="ignore"):
@@ -195,13 +191,9 @@ class Scenario:
 class WorldTruth:
     """A sampled ground-truth world: classes, object positions, trajectory."""
 
-    classes: np.ndarray  # (n_objects,) 1-based class ids
+    labels: np.ndarray  # (n_objects,) 0-based class labels
     objects: np.ndarray  # (n_objects, 2)
     trajectory: np.ndarray  # (k+1, 2) poses x_0 .. x_k
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.classes - 1
 
 
 @dataclass
@@ -271,15 +263,15 @@ class History:
 
 def sample_world(scenario: Scenario, rng: np.random.Generator) -> WorldTruth:
     """Draw classes, object positions, and the start pose from the priors."""
-    classes = np.empty(scenario.n_objects, dtype=np.int64)
+    labels = np.empty(scenario.n_objects, dtype=np.int64)
     objects = np.empty((scenario.n_objects, 2))
     for n in range(scenario.n_objects):
-        classes[n] = rng.choice(scenario.n_classes, p=scenario.class_prior[n]) + 1
+        labels[n] = rng.choice(scenario.n_classes, p=scenario.class_prior[n])
         objects[n] = rng.multivariate_normal(
             scenario.object_prior_means[n], scenario.object_prior_covs[n]
         )
     x0 = rng.multivariate_normal(scenario.robot_prior_mean, scenario.robot_prior_cov)
-    return WorldTruth(classes=classes, objects=objects, trajectory=x0[None, :].copy())
+    return WorldTruth(labels=labels, objects=objects, trajectory=x0[None, :].copy())
 
 
 def step_transition(

@@ -9,9 +9,9 @@ from scipy.special import logsumexp
 from semgeo.baselines import AnalyticHybridBelief
 from semgeo.belief import (
     CodecRangeError,
-    Hypothesis,
     HybridBelief,
     append_step,
+    decode_labels,
     enumerate_labels,
     n_hypotheses,
     prior_graph,
@@ -27,37 +27,25 @@ class TestCodec:
         n_obj = data.draw(st.integers(1, 5))
         n_cls = data.draw(st.integers(1, 6))
         idx = data.draw(st.integers(0, n_cls**n_obj - 1))
-        h = Hypothesis.from_index(idx, n_obj, n_cls)
-        assert h.index == idx
-        assert all(1 <= c <= n_cls for c in h.classes)
+        labels = decode_labels(np.array([idx], dtype=np.int64), n_obj, n_cls)[0]
+        assert labels @ n_cls ** np.arange(n_obj) == idx
+        assert all(0 <= c < n_cls for c in labels)
 
     def test_object_zero_is_least_significant(self):
-        h = Hypothesis(classes=(2, 1, 1), n_classes=3)
-        assert h.index == 1
-        h = Hypothesis(classes=(1, 3, 1), n_classes=3)
-        assert h.index == 2 * 3
+        labels = decode_labels(np.array([1, 2 * 3]), 3, 3)
+        np.testing.assert_array_equal(labels, [[1, 0, 0], [0, 2, 0]])
 
     def test_enumeration_matches_decoder(self):
         labels = enumerate_labels(3, 4)
         assert labels.shape == (64, 3)
-        for idx in (0, 17, 63):
-            np.testing.assert_array_equal(
-                labels[idx], Hypothesis.from_index(idx, 3, 4).labels
-            )
+        some = np.array([0, 17, 63])
+        np.testing.assert_array_equal(labels[some], decode_labels(some, 3, 4))
         assert len(np.unique(labels, axis=0)) == 64
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Hypothesis(classes=(0, 1), n_classes=2)
-        with pytest.raises(ValueError):
-            Hypothesis.from_index(4, 1, 4)
 
     def test_codec_overflow_guard(self):
         assert n_hypotheses(20, 8) == 8**20
         with pytest.raises(CodecRangeError):
             n_hypotheses(64, 4)
-        with pytest.raises(CodecRangeError):
-            Hypothesis(classes=(1,) * 64, n_classes=4)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="guard"):

@@ -11,13 +11,16 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import semgeo.cli as cli_mod
+import semgeo.harness as harness_mod
 from semgeo.baselines import AnalyticHybridBelief
 from semgeo.cli import main
 from semgeo.harness import (
@@ -99,7 +102,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="bad config field"):
             ExperimentConfig.from_dict(self.base(n_sample=10))
 
-    @pytest.mark.parametrize("key", ["bogus", "n_samples", "method_options"])
+    @pytest.mark.parametrize("key", ["bogus", "n_samples", "method_options", "replan_every"])
     def test_unknown_planner_key(self, key):
         """Keys PlannerConfig lacks, or that the harness sets itself, fail at
         parse time instead of as a TypeError inside run_experiment."""
@@ -121,7 +124,6 @@ class TestExperimentConfig:
             "safety_threshold": 0.95,
             "goal_radius": 1.0,
             "max_steps": 40,
-            "replan_every": 0,
         }
         cfg = ExperimentConfig.from_dict(
             self.base(kind="planning-table", planner=planner)
@@ -354,6 +356,29 @@ class TestRunExperiment:
         summary = run_experiment(cfg, tmp_path)
         assert set(summary["stream_hashes"]) == {"2", "3"}
 
+    def test_object_sweep_rows(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            dict(
+                TINY,
+                kind="rmse-vs-objects",
+                trials=1,
+                sweep={"n_objects": [1, 2]},
+            )
+        )
+        summary = run_experiment(cfg, tmp_path)
+        assert set(summary["stream_hashes"]) == {"1", "2"}
+        assert all(set(h) == {"0"} for h in summary["stream_hashes"].values())
+        with open(summary["files"]["rows"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # one row per (value, method), all queried after the last step
+        assert [(r["sweep_value"], r["method"]) for r in rows] == [
+            ("1", "mcmc-ours"),
+            ("1", "gs-map"),
+            ("2", "mcmc-ours"),
+            ("2", "gs-map"),
+        ]
+        assert all(r["time_step"] == str(cfg.n_steps) for r in rows)
+
     def test_planning_table_run(self, tmp_path):
         scenario = dict(
             n_objects=1,
@@ -390,6 +415,58 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == PLANNING_COLUMNS
         assert len(rows) - 1 == 2
+
+
+SLEEP_S = 0.05
+
+
+class SleepyMethod:
+    """A timed method whose update takes SLEEP_S and whose query is instant."""
+
+    tag = "gs-map"
+
+    def update(self, action, batch, rng=None):
+        time.sleep(SLEEP_S)
+
+    def estimate(self, plan, n_samples, rng):
+        return {"p_safe": SimpleNamespace(value=0.5)}
+
+
+class TestWallMs:
+    """A row's wall_ms is its query alone, plus the method's summed update
+    time only where the sweep resizes the scenario."""
+
+    @pytest.mark.parametrize(
+        "over, counts_updates",
+        [
+            ({}, False),
+            ({"kind": "rmse-vs-samples", "sweep": {"n_samples": [20, 40]}}, False),
+            ({"kind": "rmse-vs-classes", "sweep": {"n_classes": [2, 3]}}, True),
+            ({"kind": "rmse-vs-objects", "sweep": {"n_objects": [1, 2]}}, True),
+        ],
+        ids=["psafe-vs-time", "rmse-vs-samples", "rmse-vs-classes", "rmse-vs-objects"],
+    )
+    def test_update_time_counts_only_on_resized_scenarios(
+        self, tmp_path, monkeypatch, over, counts_updates
+    ):
+        real = harness_mod.create_method
+
+        def create(tag, scenario, **options):
+            # the untimed reference stays real; the timed method sleeps
+            if options.get("fast_conditional"):
+                return real(tag, scenario, **options)
+            return SleepyMethod()
+
+        monkeypatch.setattr(harness_mod, "create_method", create)
+        cfg = ExperimentConfig.from_dict(dict(TINY, methods=["gs-map"], trials=1, **over))
+        summary = run_experiment(cfg, tmp_path)
+        with open(summary["files"]["rows"], newline="") as fh:
+            walls = [float(r["wall_ms"]) for r in csv.DictReader(fh)]
+        assert walls
+        if counts_updates:
+            assert min(walls) >= cfg.n_steps * SLEEP_S * 1e3
+        else:
+            assert max(walls) < SLEEP_S * 1e3
 
 
 class TestSharedReference:

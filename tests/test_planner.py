@@ -231,23 +231,6 @@ class TestTrial:
         assert res.steps == 3
         assert not res.reached_goal and not res.stopped
 
-    def test_full_commit_builds_one_roadmap(self, monkeypatch):
-        calls = []
-        original = planner_mod.build_roadmap
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(planner_mod, "build_roadmap", counting)
-        cfg = PlannerConfig(
-            n_nodes=30, k_nearest=6, n_candidates=5, n_samples=50,
-            max_steps=30, replan_every=0,
-        )
-        res = run_planning_trial(open_scenario(), "gs-map", 0, 42, cfg)
-        assert res.reached_goal
-        assert len(calls) == 1
-
     def test_committed_tail_survives_roadmap_dropout(self, monkeypatch):
         # after the first replan the roadmap never finds a path again; the
         # remembered tail of the committed plan must carry the robot through

@@ -65,9 +65,6 @@ class TestValidation:
         assert a[0] == 0.95 and a[-1] == 1.05
         np.testing.assert_allclose(np.diff(a), np.diff(a)[0])
 
-    def test_hypothesis_count(self):
-        assert tiny_scenario().n_hypotheses == 9
-
 
 class TestSerialization:
     def test_dict_roundtrip(self, oracle_small):
@@ -107,7 +104,7 @@ class TestStreams:
         s2.noise = np.random.default_rng(999)
         w1, _ = simulate(oracle_small, 3, s1.world, s1.noise)
         w2, _ = simulate(oracle_small, 3, s2.world, s2.noise)
-        np.testing.assert_array_equal(w1.classes, w2.classes)
+        np.testing.assert_array_equal(w1.labels, w2.labels)
         np.testing.assert_array_equal(w1.objects, w2.objects)
         assert not np.array_equal(w1.trajectory[1:], w2.trajectory[1:])
 
@@ -135,9 +132,9 @@ class TestSimulate:
             simulate(oracle_small, 50, streams.world, streams.noise)
 
     def test_labels_are_zero_based(self, oracle_small, rng):
-        world = sample_world(oracle_small, rng)
-        np.testing.assert_array_equal(world.labels, world.classes - 1)
-        assert world.classes.min() >= 1
+        drawn = np.concatenate([sample_world(oracle_small, rng).labels for _ in range(40)])
+        assert drawn.dtype == np.int64
+        assert set(drawn.tolist()) == set(range(oracle_small.n_classes))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
