@@ -17,7 +17,6 @@ from .baselines import (
 from .belief import CodecRangeError, HybridBelief, enumerate_labels
 from .estimators import (
     EstimateReport,
-    FutureRollout,
     OpenLoopPlan,
     RewardTerm,
     StructuredReward,
@@ -53,7 +52,6 @@ from .planner import (
 )
 from .samplers import (
     DegenerateWeightsError,
-    McmcConfig,
     WeightedStateSet,
     complete_hypotheses,
     mh_sample,

@@ -1,8 +1,8 @@
 """Hot numerical loops, in numpy.
 
 Per-observation terms are summed in the order the caller passes them;
-HybridBelief sorts its observations by object, then time, which fixes the
-floating-point summation order.
+HybridBelief keeps each object's observations in arrival order (time, then
+batch order), which fixes the floating-point summation order.
 
 Kernels:
     class_log_tables   per-sample, per-object, per-class log posterior table
@@ -12,20 +12,18 @@ Kernels:
 Layout.  The sample axis is the long one (hundreds to 100k) and the others
 are short (2 coordinates, 2-8 classes, 1-27 future steps), so the kernels
 loop in Python over the short axes and let each numpy pass run over
-samples.  Future poses arrive as rollout planes: a C-contiguous
-(n_future, 2, n_samples) block, one row of x and one of y per step, which
-safety_products reads through the transposed (n_samples, n_future, 2) view
-`FutureRollout.planes.transpose(2, 0, 1)`.  A minimum over the short axis
-is then a running elementwise np.minimum down the rows.
+samples.  Future poses arrive as rollout planes, the C-contiguous
+(n_future, 2, n_samples) array rollout_states returns, one row of x and one
+of y per step; safety_products reads them as they are.  A minimum over the
+short axis is then a running elementwise np.minimum down the rows.
 
 Two numpy behaviours decide whether a rewrite keeps every float:
     - a sum along a contiguous axis of 8 or more elements is pairwise (eight
       partial sums, then combined), while a sum along a strided axis adds
       left to right; a rewrite must keep which of the two each sum was.
       The cost sums contiguous (n, horizon) rows, so it copies its
-      (horizon, n) distances to that layout first; the class tables summed
-      F-ordered (n, m) gathers, left to right, which (m, n) buffers summed
-      over axis 0 repeat;
+      (horizon, n) distances to that layout first; the class tables sum
+      (m_n, n_samples) buffers over axis 0, left to right;
     - einsum picks its summation order from the operands' strides, so a
       table handed to the estimators must keep its C-contiguous layout, not
       come back as a transposed view with the same values.
@@ -49,43 +47,30 @@ def backend() -> str:
 # class log tables
 
 
-def class_log_tables(
-    samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, sigma2
-):
+def class_log_tables(samples, index, evidence, log_prior, alphas, sigma2):
     """(n_samples, n_objects, n_classes) table of log[P0(c) * prod_t P_Z(z|...)].
 
-    samples: (ns, dim) stacked states; pose_col/obj_col: per-observation
-    column offsets of the pose and object slots; obs_obj: per-observation
-    object row; obs_z: (m, 2) semantic measurements.
+    samples: (ns, dim) stacked states laid out by `index`; evidence[n]:
+    object n's observing pose columns (m_n,) and semantic measurements
+    (m_n, 2), as HybridBelief stores them.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    pose_col = np.ascontiguousarray(pose_col, dtype=np.int64)
-    obj_col = np.ascontiguousarray(obj_col, dtype=np.int64)
-    obs_obj = np.ascontiguousarray(obs_obj, dtype=np.int64)
-    obs_z = np.ascontiguousarray(obs_z, dtype=np.float64)
-    log_prior = np.ascontiguousarray(log_prior, dtype=np.float64)
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    sigma2 = float(sigma2)
     ns = samples.shape[0]
     n_obj, n_cls = log_prior.shape
     out = np.empty((ns, n_obj, n_cls))
     out[:] = log_prior[None, :, :]
-    m = len(obs_obj)
-    if m == 0:
-        return out
     const = -_LOG_2PI - np.log(sigma2)
     inv = 0.5 / sigma2
     b0 = min(ns, _CHUNK)
-    # per observed object: its observations' columns and measurements, and
-    # two (m_n, b) work buffers the class chain runs in, in place
-    groups = []
-    for n in range(n_obj):
-        sel = np.flatnonzero(obs_obj == n)
-        if len(sel):
-            groups.append((
-                n, obj_col[sel], pose_col[sel], obs_z[sel, 0:1], obs_z[sel, 1:2],
-                np.empty((len(sel), b0)), np.empty((len(sel), b0)),
-            ))
+    # per observed object: its column, its observations and two (m_n, b)
+    # work buffers the class chain runs in, in place
+    groups = [
+        (n, index.object_slice(n).start, pc, z[:, 0:1], z[:, 1:2],
+         np.empty((len(pc), b0)), np.empty((len(pc), b0)))
+        for n, (pc, z) in enumerate(evidence)
+        if len(pc)
+    ]
+    if not groups:
+        return out
     for lo in range(0, ns, _CHUNK):
         hi = min(lo + _CHUNK, ns)
         cols = np.ascontiguousarray(samples[lo:hi].T)  # (dim, b)
@@ -148,19 +133,16 @@ def mh_scan(log_target, log_u):
 # safety indicator products
 
 
-def safety_products(future_xy, object_xy, radii):
+def safety_products(planes, object_xy, radii):
     """Indicator that every future pose clears the class-c disk of object n.
 
-    future_xy: (ns, n_future, 2) rolled-out poses (current pose excluded),
-    fastest as the transposed view of (n_future, 2, ns) rollout planes;
-    object_xy: (ns, n_objects, 2) sampled object positions; radii: per-class
-    disk radii.  Returns a C-contiguous (ns, n_objects, n_classes) table of
-    0/1 floats; an empty future axis yields all ones.
+    planes: (n_future, 2, ns) rollout planes (current pose excluded), as
+    rollout_states returns them; object_xy: (ns, n_objects, 2) sampled
+    object positions; radii: per-class disk radii.  Returns a C-contiguous
+    (ns, n_objects, n_classes) table of 0/1 floats; an empty future axis
+    yields all ones.
     """
-    future_xy = np.asarray(future_xy, dtype=np.float64)
-    object_xy = np.asarray(object_xy, dtype=np.float64)
-    radii = np.ascontiguousarray(radii, dtype=np.float64)
-    ns, n_t, _ = future_xy.shape
+    n_t, _, ns = planes.shape
     n_obj = object_xy.shape[1]
     n_cls = len(radii)
     out = np.empty((ns, n_obj, n_cls))
@@ -168,7 +150,6 @@ def safety_products(future_xy, object_xy, radii):
         out[:] = 1.0
         return out
     r2 = (radii * radii)[:, None]
-    planes = future_xy.transpose(1, 2, 0)  # (n_future, 2, ns)
     stage = np.empty((n_cls, min(ns, _CHUNK)))
     for lo in range(0, ns, _CHUNK):
         hi = min(lo + _CHUNK, ns)

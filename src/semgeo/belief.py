@@ -122,43 +122,24 @@ class HybridBelief:
     """Gaussian geometric posterior plus per-object semantic evidence.
 
     Immutable by convention: update() returns a new belief sharing nothing
-    mutable with its parent.  Semantic measurements are stored flat (object
-    id, time index, 2D value) and sorted by object then time; that order is
-    the order in which the class-table kernel sums their log likelihoods, so
-    it fixes the floating-point result.
+    mutable with its parent.  evidence[n] holds object n's semantic
+    measurements in arrival order: an int64 array of the observing pose's
+    first column (m_n,) and the 2D values (m_n, 2).  The class-table kernel
+    sums each object's log likelihoods in that order, so it fixes the
+    floating-point result.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        geo: GaussianFactorGraph,
-        sem_obj: np.ndarray,
-        sem_t: np.ndarray,
-        sem_z: np.ndarray,
-    ):
+    def __init__(self, scenario: Scenario, geo: GaussianFactorGraph, evidence: tuple):
         self.scenario = scenario
         self.geo = geo
-        self.sem_obj = np.asarray(sem_obj, dtype=np.int64)
-        self.sem_t = np.asarray(sem_t, dtype=np.int64)
-        self.sem_z = np.asarray(sem_z, dtype=np.float64).reshape(-1, 2)
-        order = np.lexsort((self.sem_t, self.sem_obj))
-        self.sem_obj = self.sem_obj[order]
-        self.sem_t = self.sem_t[order]
-        self.sem_z = self.sem_z[order]
-        idx = geo.index
-        self._pose_col = np.array(
-            [idx.pose_slice(int(t)).start for t in self.sem_t], dtype=np.int64
-        )
-        self._obj_col = np.array(
-            [idx.object_slice(int(n)).start for n in self.sem_obj], dtype=np.int64
-        )
+        self.evidence = evidence
 
     # ------------------------------------------------------------------
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "HybridBelief":
-        empty = np.empty(0)
-        return cls(scenario, prior_graph(scenario), empty, empty, np.empty((0, 2)))
+        empty = (np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        return cls(scenario, prior_graph(scenario), (empty,) * scenario.n_objects)
 
     @property
     def index(self) -> StackedIndex:
@@ -176,12 +157,12 @@ class HybridBelief:
             )
         sc = self.scenario
         geo = append_step(self.geo, action, batch, sc)
-        sem_obj = np.concatenate([self.sem_obj, batch.object_ids])
-        sem_t = np.concatenate(
-            [self.sem_t, np.full(len(batch.object_ids), batch.t, dtype=np.int64)]
-        )
-        sem_z = np.concatenate([self.sem_z, batch.semantic], axis=0)
-        return HybridBelief(sc, geo, sem_obj, sem_t, sem_z)
+        col = geo.index.pose_slice(batch.t).start
+        evidence = list(self.evidence)
+        for j, n in enumerate(batch.object_ids):
+            cols, z = evidence[n]
+            evidence[n] = (np.append(cols, col), np.concatenate([z, batch.semantic[j : j + 1]]))
+        return HybridBelief(sc, geo, tuple(evidence))
 
     # ------------------------------------------------------------------
     # class tables and derived quantities
@@ -192,10 +173,8 @@ class HybridBelief:
         sc = self.scenario
         return _kernels.class_log_tables(
             samples,
-            self._pose_col,
-            self._obj_col,
-            self.sem_obj,
-            self.sem_z,
+            self.index,
+            self.evidence,
             sc.log_class_prior(),
             sc.alphas,
             sc.sigma2_obs,

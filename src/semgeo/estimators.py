@@ -19,7 +19,6 @@ validates that.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,36 +51,19 @@ class OpenLoopPlan:
         return cls(actions=np.empty((0, 2)))
 
 
-@dataclass
-class FutureRollout:
-    """Sampled future poses x_{k+1} .. x_L per state sample.
-
-    planes is the stored form: a C-contiguous (horizon, 2, n) block, row
-    planes[t, 0] the x and planes[t, 1] the y of step t for every sample,
-    so each pass of the rollout, safety and cost kernels runs over samples.
-    poses is the (n, horizon, 2) C-contiguous array of the same values,
-    built on first read for reward elements, oracles and tests; a
-    transposed view would change the summation order of any row sum taken
-    on it (see _kernels).
-    """
-
-    planes: np.ndarray
-
-    @functools.cached_property
-    def poses(self) -> np.ndarray:
-        return np.ascontiguousarray(self.planes.transpose(2, 0, 1))
-
-
 def rollout_states(
     state_set: WeightedStateSet,
     plan: OpenLoopPlan,
     scenario: Scenario,
     rng: np.random.Generator,
-) -> FutureRollout:
+) -> np.ndarray:
     """Propagate each sample's current pose through the plan with motion noise.
 
-    The noise is the stream of one rng.normal(0, sqrt(sigma2_x), (n, h, 2))
-    draw (rng.normal(0, s) is 0.0 + s * standard_normal), drawn in blocks of
+    Returns the rollout planes: a C-contiguous (horizon, 2, n) array, row
+    [t, 0] the x and [t, 1] the y of step t for every sample, so each pass
+    of the rollout, safety and cost kernels runs over samples.  The noise is
+    the stream of one rng.normal(0, sqrt(sigma2_x), (n, h, 2)) draw
+    (rng.normal(0, s) is 0.0 + s * standard_normal), drawn in blocks of
     _CHUNK samples, each block transposed into the planes.
     """
     x = state_set.index.current_pose(state_set.samples)
@@ -89,7 +71,7 @@ def rollout_states(
     h = plan.horizon
     planes = np.empty((h, 2, n))
     if h == 0:
-        return FutureRollout(planes=planes)
+        return planes
     scale = math.sqrt(scenario.sigma2_x)
     for lo in range(0, n, _kernels._CHUNK):
         hi = min(lo + _kernels._CHUNK, n)
@@ -100,7 +82,7 @@ def rollout_states(
     for t in range(1, h):
         planes[t] += planes[t - 1]
     planes += np.ascontiguousarray(x.T)
-    return FutureRollout(planes=planes)
+    return planes
 
 
 @dataclass
@@ -109,7 +91,7 @@ class RewardContext:
 
     samples: np.ndarray
     index: StackedIndex
-    rollout: FutureRollout
+    rollout: np.ndarray  # (horizon, 2, n) planes from rollout_states
     scenario: Scenario
     plan: OpenLoopPlan
     cache: dict = field(default_factory=dict)
@@ -293,7 +275,7 @@ def _safety_elements(ctx: RewardContext) -> np.ndarray:
     if "safety_elements" not in ctx.cache:
         object_xy = ctx.index.object_xy(ctx.samples)
         ctx.cache["safety_elements"] = _kernels.safety_products(
-            ctx.rollout.planes.transpose(2, 0, 1), object_xy, ctx.scenario.unsafe_radius
+            ctx.rollout, object_xy, ctx.scenario.unsafe_radius
         )
     return ctx.cache["safety_elements"]
 
@@ -330,9 +312,8 @@ def expected_cost(state_set, rollout, plan, scenario) -> EstimateReport:
     """
     x_now = state_set.index.current_pose(state_set.samples)
     dist = _goal_distance(x_now[:, 0], x_now[:, 1], scenario.goal)
-    planes = rollout.planes
-    if len(planes):
-        steps = _goal_distance(planes[:, 0], planes[:, 1], scenario.goal)  # (h, n)
+    if len(rollout):
+        steps = _goal_distance(rollout[:, 0], rollout[:, 1], scenario.goal)  # (h, n)
         # summed as contiguous (n, h) rows: numpy sums 8 or more pairwise
         dist = dist + np.ascontiguousarray(steps.T).sum(axis=1)
     action_cost = float(np.linalg.norm(plan.actions, axis=1).sum())

@@ -223,7 +223,7 @@ class ExperimentConfig:
                     f"{self.kind} needs sweep.{key}: a non-empty list of "
                     f"integers >= 1, got {values!r}"
                 )
-        if self.kind in ESTIMATION_KINDS + ("rmse-vs-samples",):
+        if self.kind not in PLANNING_KINDS:
             need = self.n_steps + self.eval_horizon
             if len(self.scenario.actions) < need:
                 raise ConfigError(

@@ -263,22 +263,21 @@ class _ParticleMethod:
         }
 
 
-def create_method(tag: str, scenario: Scenario, **options):
-    """Instantiate a method state by tag.  Options are method specific:
-    n_particles (pf-*) and fast_conditional (theoretical-all-hyp, for the
-    untimed reference only)."""
+def create_method(
+    tag: str, scenario: Scenario, n_particles: int = 500, fast_conditional: bool = False
+):
+    """Instantiate a method state by tag.  n_particles sets the pf-* filter
+    size; fast_conditional switches the theoretical-* conditional to the
+    factored route (for untimed reference evaluations only); the other
+    tags ignore both."""
     if tag in ("mcmc-ours", "snis-ours"):
         return _FactoredMethod(scenario, tag)
-    if tag == "theoretical-all-hyp":
+    if tag in ("theoretical-all-hyp", "theoretical-pruned"):
         return _TheoreticalMethod(
-            scenario, pruned=False, fast_conditional=options.get("fast_conditional", False)
+            scenario, pruned=tag == "theoretical-pruned", fast_conditional=fast_conditional
         )
-    if tag == "theoretical-pruned":
-        return _TheoreticalMethod(scenario, pruned=True)
-    if tag == "pf-all-hyp":
-        return _ParticleMethod(scenario, pruned=False, n_particles=options.get("n_particles", 500))
-    if tag == "pf-pruned":
-        return _ParticleMethod(scenario, pruned=True, n_particles=options.get("n_particles", 500))
+    if tag in ("pf-all-hyp", "pf-pruned"):
+        return _ParticleMethod(scenario, pruned=tag == "pf-pruned", n_particles=n_particles)
     if tag == "gs-map":
         return _MapMethod(scenario, tag)
     raise ValueError(f"unknown method tag {tag!r}; known: {', '.join(METHOD_TAGS)}")

@@ -279,13 +279,14 @@ def check_safety_identity(scenario: Scenario, seed: int = 0) -> CheckResult:
     labels = streams.sampler.integers(0, scenario.n_classes, size=(n, scenario.n_objects))
     plan = OpenLoopPlan(scenario.actions[:4])
     rollout = rollout_states(sset, plan, scenario, streams.sampler)
+    poses = rollout.transpose(2, 0, 1)  # (n, steps, 2)
     objects = hybrid.index.object_xy(samples)
     radii = scenario.unsafe_radius[labels]  # (n, n_obj)
     d = np.linalg.norm(
-        rollout.poses[:, None, :, :] - objects[:, :, None, :], axis=3
+        poses[:, None, :, :] - objects[:, :, None, :], axis=3
     )  # (n, n_obj, steps)
     brute = (~np.any(d <= radii[:, :, None], axis=(1, 2))).astype(float)
-    elems = _kernels.safety_products(rollout.poses, objects, scenario.unsafe_radius)
+    elems = _kernels.safety_products(rollout, objects, scenario.unsafe_radius)
     rows = np.arange(n)[:, None]
     objs = np.arange(scenario.n_objects)[None, :]
     product = elems[rows, objs, labels].prod(axis=1)

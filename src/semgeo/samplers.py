@@ -63,25 +63,17 @@ class WeightedStateSet:
         return self._memo["ess"]
 
 
-@dataclass(frozen=True)
-class McmcConfig:
-    """Metropolis-Hastings settings; all values surface in diagnostics."""
-
-    burn_in: int = 200
-    thinning: int = 5
-    chains: int = 4
-    stall_limit: int = 10_000
-
-    def __post_init__(self):
-        if self.burn_in < 0 or self.thinning < 1 or self.chains < 1:
-            raise ValueError("burn_in >= 0, thinning >= 1, chains >= 1 required")
+# Metropolis-Hastings settings; all values surface in diagnostics
+BURN_IN = 200
+THINNING = 5
+CHAINS = 4
+STALL_LIMIT = 10_000
 
 
 def mh_sample(
     belief: HybridBelief,
     n_samples: int,
     rng: np.random.Generator,
-    config: McmcConfig = McmcConfig(),
 ) -> WeightedStateSet:
     """Metropolis-Hastings targeting b_g[X] * phi(X).
 
@@ -92,35 +84,35 @@ def mh_sample(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    kept_per_chain = -(-n_samples // config.chains)
+    kept_per_chain = -(-n_samples // CHAINS)
     pieces = []
     accepts = 0
     proposals_total = 0
     max_consec = 0
-    for _ in range(config.chains):
-        iters = config.burn_in + config.thinning * (kept_per_chain - 1) + 1
+    for _ in range(CHAINS):
+        iters = BURN_IN + THINNING * (kept_per_chain - 1) + 1
         draws = belief.geo.sample(rng, iters)
         log_phi = belief.log_phi(draws)
         log_u = np.log(rng.random(iters))
         take, acc, consec = _kernels.mh_scan(log_phi, log_u)
-        keep = config.burn_in + config.thinning * np.arange(kept_per_chain)
+        keep = BURN_IN + THINNING * np.arange(kept_per_chain)
         pieces.append(draws[take[keep]])
         accepts += acc
         proposals_total += iters - 1
         max_consec = max(max_consec, consec)
     samples = np.concatenate(pieces, axis=0)[:n_samples]
-    stalled = max_consec > config.stall_limit
+    stalled = max_consec > STALL_LIMIT
     if stalled:
         warnings.warn(
             f"MH chain stalled: {max_consec} consecutive rejections "
-            f"(limit {config.stall_limit})",
+            f"(limit {STALL_LIMIT})",
             RuntimeWarning,
         )
     diagnostics = {
         "acceptance_rate": accepts / max(proposals_total, 1),
-        "burn_in": config.burn_in,
-        "thinning": config.thinning,
-        "chains": config.chains,
+        "burn_in": BURN_IN,
+        "thinning": THINNING,
+        "chains": CHAINS,
         "max_consecutive_rejections": int(max_consec),
         "stalled": stalled,
     }

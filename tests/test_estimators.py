@@ -69,7 +69,7 @@ class TestPlanAndRollout:
         sset = fixed_state_set([1.0, 2.0], [[0.0, 0.0]])
         roll = rollout_states(sset, OpenLoopPlan.empty(), point_scenario(
             1, 2, [0.0, 1.0], [[0.0, 0.0]]), rng)
-        assert roll.poses.shape == (64, 0, 2)
+        assert roll.shape == (0, 2, 64)
 
     def test_rollout_tracks_cumulative_actions(self, rng):
         sc = point_scenario(1, 2, [0.0, 1.0], [[5.0, 5.0]])
@@ -77,7 +77,7 @@ class TestPlanAndRollout:
         plan = OpenLoopPlan([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
         roll = rollout_states(sset, plan, sc, rng)
         expect = np.array([1.0, 1.0]) + np.cumsum(plan.actions, axis=0)
-        np.testing.assert_allclose(roll.poses.mean(axis=0), expect, atol=1e-5)
+        np.testing.assert_allclose(roll.mean(axis=2), expect, atol=1e-5)
 
     def test_rollout_noise_accumulates(self):
         sc = point_scenario(1, 2, [0.0, 1.0], [[5.0, 5.0]])
@@ -90,7 +90,7 @@ class TestPlanAndRollout:
         )
         plan = OpenLoopPlan(np.zeros((4, 2)))
         roll = rollout_states(sset, plan, sc, np.random.default_rng(0))
-        var = roll.poses.var(axis=0).mean(axis=1)
+        var = roll.var(axis=2).mean(axis=1)
         np.testing.assert_allclose(var, 0.25 * np.arange(1, 5), rtol=0.05)
 
 
@@ -104,7 +104,7 @@ class TestPlanAndRollout:
         plan = OpenLoopPlan(np.random.default_rng(6).normal(size=(5, 2)))
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            poses = rollout_states(sset, plan, sc, rng).poses
+            poses = rollout_states(sset, plan, sc, rng).transpose(2, 0, 1)
             noise = ref_rng.normal(0.0, np.sqrt(sc.sigma2_x), size=(37, 5, 2))
             x = sset.index.current_pose(sset.samples)
             expect = x[:, None, :] + np.cumsum(plan.actions[None] + noise, axis=1)
@@ -372,7 +372,8 @@ class TestCost:
             dist = np.linalg.norm(x_now - sc.goal[None, :], axis=1)
             if h:
                 dist = dist + np.linalg.norm(
-                    rollout.poses - sc.goal[None, None, :], axis=2
+                    np.ascontiguousarray(rollout.transpose(2, 0, 1)) - sc.goal[None, None, :],
+                    axis=2,
                 ).sum(axis=1)
             action_cost = float(np.linalg.norm(plan.actions, axis=1).sum())
             expect = _weighted_report(dist + action_cost, sset)

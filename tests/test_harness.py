@@ -205,9 +205,16 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict([1, 2])
 
     def test_not_enough_scenario_actions(self):
-        # oracle_small ships 8 actions; 6 + 3 exceeds them
-        with pytest.raises(ConfigError, match="n_steps"):
-            ExperimentConfig.from_dict(self.base(n_steps=6, eval_horizon=3))
+        # oracle_small ships 8 actions; each n_steps + eval_horizon exceeds
+        # them, on every estimation kind
+        for over in (
+            {"n_steps": 6, "eval_horizon": 3},
+            {"kind": "rmse-vs-classes", "sweep": {"n_classes": [2]},
+             "n_steps": 4, "eval_horizon": 6},
+            {"kind": "rmse-vs-objects", "sweep": {"n_objects": [2]}, "n_steps": 20},
+        ):
+            with pytest.raises(ConfigError, match="n_steps"):
+                ExperimentConfig.from_dict(self.base(**over))
 
     def test_method_options_route_particle_counts(self):
         cfg = ExperimentConfig.from_dict(self.base(n_particles=77))
@@ -451,10 +458,10 @@ class TestWallMs:
     ):
         real = harness_mod.create_method
 
-        def create(tag, scenario, **options):
+        def create(tag, scenario, n_particles=500, fast_conditional=False):
             # the untimed reference stays real; the timed method sleeps
-            if options.get("fast_conditional"):
-                return real(tag, scenario, **options)
+            if fast_conditional:
+                return real(tag, scenario, fast_conditional=True)
             return SleepyMethod()
 
         monkeypatch.setattr(harness_mod, "create_method", create)

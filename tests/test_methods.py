@@ -41,6 +41,15 @@ class TestCreateMethod:
         method, _ = advanced("pf-all-hyp", oracle_small, history, n_particles=96)
         assert method.pf.n_particles == 96
 
+    def test_misspelt_option_rejected(self, oracle_small):
+        with pytest.raises(TypeError, match="n_particle"):
+            create_method("pf-pruned", oracle_small, n_particle=10)
+
+    def test_fast_conditional_reaches_both_theoretical_tags(self, oracle_small):
+        for tag in ("theoretical-all-hyp", "theoretical-pruned"):
+            assert create_method(tag, oracle_small, fast_conditional=True).fast_conditional
+            assert not create_method(tag, oracle_small).fast_conditional
+
 
 class TestSharedContract:
     @pytest.mark.parametrize("tag", METHOD_TAGS)

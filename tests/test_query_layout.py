@@ -75,6 +75,11 @@ def ref_rollout(x, actions, s2, noise_rng):
     return x[:, None, :] + np.cumsum(actions[None] + noise, axis=1)
 
 
+def poses(planes):
+    """(n, horizon, 2) C-contiguous poses of (horizon, 2, n) rollout planes."""
+    return np.ascontiguousarray(planes.transpose(2, 0, 1))
+
+
 def ref_class_posterior(tables):
     t = tables - tables.max(axis=2, keepdims=True)
     p = np.exp(t)
@@ -97,7 +102,17 @@ def random_table_args(rng, ns, n_obj, n_cls, per_obj, n_steps=12):
     obs_z = rng.normal(size=(len(obs_obj), 2)) * 2
     log_prior = np.log(rng.dirichlet(np.ones(n_cls), size=n_obj))
     alphas = np.linspace(0.9, 1.1, n_cls)
-    return samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, 1.7
+    return [samples, pose_col, obj_col, obs_obj, obs_z, log_prior, alphas, 1.7], index
+
+
+def kernel_args(flat, index):
+    """The kernel's arguments for flat reference arguments: each object's
+    observations grouped in their flat order."""
+    samples, pose_col, _, obs_obj, obs_z, log_prior, alphas, s2 = flat
+    evidence = tuple(
+        (pose_col[obs_obj == n], obs_z[obs_obj == n]) for n in range(index.n_objects)
+    )
+    return samples, index, evidence, log_prior, alphas, s2
 
 
 def random_state_set(rng, n, n_obj=2, n_steps=3):
@@ -136,13 +151,10 @@ class TestSafetyProducts:
         planes = np.ascontiguousarray(rng.normal(size=(h, 2, ns)) * 3)
         objects = rng.normal(size=(ns, 3, 2)) * 3
         radii = np.linspace(0.0, 3.0, n_cls)
-        poses = np.ascontiguousarray(planes.transpose(2, 0, 1))
-        expect = ref_safety_products(poses, objects, radii)
-        # the planes view the estimators pass, and a C-contiguous array
-        for future in (planes.transpose(2, 0, 1), poses):
-            out = _kernels.safety_products(future, objects, radii)
-            np.testing.assert_array_equal(out, expect)
-            assert out.flags.c_contiguous and out.shape == (ns, 3, n_cls)
+        expect = ref_safety_products(poses(planes), objects, radii)
+        out = _kernels.safety_products(planes, objects, radii)
+        np.testing.assert_array_equal(out, expect)
+        assert out.flags.c_contiguous and out.shape == (ns, 3, n_cls)
 
 
 class TestRollout:
@@ -159,9 +171,8 @@ class TestRollout:
         roll = rollout_states(sset, plan, sc, rng)
         x = sset.index.current_pose(sset.samples)
         expect = ref_rollout(x, plan.actions, sc.sigma2_x, ref_rng)
-        assert roll.poses.shape == (n, h, 2) and roll.poses.flags.c_contiguous
-        assert roll.planes.shape == (h, 2, n) and roll.planes.flags.c_contiguous
-        np.testing.assert_array_equal(roll.poses, expect)
+        assert roll.shape == (h, 2, n) and roll.flags.c_contiguous
+        np.testing.assert_array_equal(poses(roll), expect)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -174,7 +185,7 @@ class TestCost:
         plan = OpenLoopPlan(rng.normal(size=(h, 2)))
         rollout = rollout_states(sset, plan, sc, rng)
         x_now = sset.index.current_pose(sset.samples)
-        d = rollout.poses - sc.goal
+        d = poses(rollout) - sc.goal
         steps = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
         g = x_now - sc.goal
         dist = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) + steps.sum(axis=1)
@@ -191,20 +202,53 @@ class TestClassTables:
     )
     def test_matches_reference(self, ns, n_obj, n_cls, per_obj):
         rng = np.random.default_rng(ns + n_obj + n_cls + per_obj)
-        args = random_table_args(rng, ns, n_obj, n_cls, per_obj)
-        out = _kernels.class_log_tables(*args)
+        args, index = random_table_args(rng, ns, n_obj, n_cls, per_obj)
+        out = _kernels.class_log_tables(*kernel_args(args, index))
         np.testing.assert_array_equal(out, ref_class_log_tables(*args))
         assert out.flags.c_contiguous
 
     def test_unobserved_object_keeps_its_prior(self):
         rng = np.random.default_rng(3)
-        args = list(random_table_args(rng, 40, 3, 4, 9))
+        args, index = random_table_args(rng, 40, 3, 4, 9)
         keep = args[3] != 1
         for i in (1, 2, 3, 4):
             args[i] = args[i][keep]
-        out = _kernels.class_log_tables(*args)
+        out = _kernels.class_log_tables(*kernel_args(args, index))
         np.testing.assert_array_equal(out, ref_class_log_tables(*args))
         np.testing.assert_array_equal(out[:, 1], np.tile(args[5][1], (40, 1)))
+
+    def test_belief_stores_evidence_by_object_then_time(self):
+        """Batches list objects in shuffled order and skip some objects; the
+        belief's tables equal the reference fed its observations sorted by
+        object, then time."""
+        rng = np.random.default_rng(14)
+        sc = resize_scenario(load_scenario("defaults"), n_classes=4, n_objects=4)
+        belief = HybridBelief.from_scenario(sc)
+        obs_obj, obs_t, obs_z = [], [], []
+        for t in range(1, 10):
+            ids = rng.permutation(sc.n_objects)
+            if t % 3:
+                ids = ids[ids != t % sc.n_objects]  # one object unseen at t
+            z = rng.normal(size=(len(ids), 2)) * 2
+            batch = ObservationBatch(
+                t=t, object_ids=ids, geometric=rng.normal(size=(len(ids), 2)) * 2, semantic=z
+            )
+            belief = belief.update(rng.normal(size=2) * 0.5, batch)
+            obs_obj += list(ids)
+            obs_t += [t] * len(ids)
+            obs_z.append(z)
+        obs_obj, obs_t, obs_z = np.array(obs_obj), np.array(obs_t), np.concatenate(obs_z)
+        order = np.lexsort((obs_t, obs_obj))
+        obs_obj, obs_t, obs_z = obs_obj[order], obs_t[order], obs_z[order]
+        index = belief.index
+        pose_col = np.array([index.pose_slice(int(t)).start for t in obs_t])
+        obj_col = np.array([index.object_slice(int(n)).start for n in obs_obj])
+        samples = belief.geo.sample(rng, CHUNK + 9)
+        expect = ref_class_log_tables(
+            samples, pose_col, obj_col, obs_obj, obs_z, sc.log_class_prior(), sc.alphas,
+            sc.sigma2_obs,
+        )
+        np.testing.assert_array_equal(belief.class_log_tables(samples), expect)
 
     @pytest.mark.parametrize("n_cls", [2, 4, 8])
     def test_class_posterior_matches_reference(self, n_cls):
@@ -234,7 +278,7 @@ class TestEstimates:
         probs = belief.class_posterior_given_state(sset.samples)
         reward = safety_reward(sc)
 
-        table = ref_safety_products(rollout.poses, sset.index.object_xy(sset.samples), sc.unsafe_radius)
+        table = ref_safety_products(poses(rollout), sset.index.object_xy(sset.samples), sc.unsafe_radius)
         acc = np.ones(n)
         for obj in range(sc.n_objects):
             acc = acc * np.einsum("ic,ic->i", probs[:, obj, :], table[:, obj, :])

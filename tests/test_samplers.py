@@ -5,7 +5,6 @@ import pytest
 
 import semgeo.samplers as samplers_mod
 from semgeo.samplers import (
-    McmcConfig,
     WeightedStateSet,
     complete_hypotheses,
     log_ess,
@@ -51,14 +50,6 @@ class TestEss:
         monkeypatch.setattr(samplers_mod, "log_ess", lambda lw: calls.append(lw) or log_ess(lw))
         assert sset.ess == sset.ess == log_ess(sset.log_weights)
         assert len(calls) == 1
-
-
-class TestMcmcConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            McmcConfig(burn_in=-1)
-        with pytest.raises(ValueError):
-            McmcConfig(thinning=0)
 
 
 class TestAgainstMixture:
@@ -122,7 +113,7 @@ class TestAgainstMixture:
 class TestMechanics:
     def test_mh_sample_count_and_weights(self, seeded_history):
         _, _, hybrid, _, streams = seeded_history
-        sset = mh_sample(hybrid, 123, streams.sampler, McmcConfig(chains=4))
+        sset = mh_sample(hybrid, 123, streams.sampler)
         assert len(sset) == 123
         np.testing.assert_array_equal(sset.log_weights, 0.0)
         assert 0.0 <= sset.diagnostics["acceptance_rate"] <= 1.0
@@ -140,11 +131,11 @@ class TestMechanics:
         assert sset.diagnostics["ess"] == pytest.approx(sset.ess)
         assert 1.0 <= sset.ess <= 500.0
 
-    def test_stall_warning(self, seeded_history):
+    def test_stall_warning(self, seeded_history, monkeypatch):
         _, _, hybrid, _, streams = seeded_history
-        cfg = McmcConfig(burn_in=0, thinning=1, chains=1, stall_limit=1)
+        monkeypatch.setattr(samplers_mod, "STALL_LIMIT", 1)
         with pytest.warns(RuntimeWarning, match="stalled"):
-            sset = mh_sample(hybrid, 400, streams.sampler, cfg)
+            sset = mh_sample(hybrid, 400, streams.sampler)
         assert sset.diagnostics["stalled"]
 
     def test_completion_keeps_weights(self, seeded_history):
