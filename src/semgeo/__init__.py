@@ -38,7 +38,7 @@ from .harness import (
     resize_scenario,
     run_experiment,
 )
-from .methods import METHOD_TAGS, create_method
+from .methods import METHOD_TAGS, ExactReference, create_method
 from .oracles import run_oracle_checks
 from .planner import (
     PlannerConfig,

@@ -29,6 +29,11 @@ from .gaussian import StackedIndex
 from .samplers import WeightedStateSet
 from .scenario import LOG_2PI, ObservationBatch, Scenario, ScenarioError
 
+# Hypothesis-count guards: the exact belief keeps one Gaussian graph per
+# joint labelling, the particle filter a particle population per labelling.
+EXACT_MAX_HYPOTHESES = 1_000_000
+PF_MAX_HYPOTHESES = 10_000
+
 
 def _hypothesis_prior(
     scenario: Scenario, max_hypotheses: int
@@ -83,10 +88,8 @@ class AnalyticHybridBelief:
         self._log_w = None
 
     @classmethod
-    def from_scenario(
-        cls, scenario: Scenario, max_hypotheses: int = 1_000_000
-    ) -> "AnalyticHybridBelief":
-        labels_enum, log_prior_c = _hypothesis_prior(scenario, max_hypotheses)
+    def from_scenario(cls, scenario: Scenario) -> "AnalyticHybridBelief":
+        labels_enum, log_prior_c = _hypothesis_prior(scenario, EXACT_MAX_HYPOTHESES)
         # one shared step-0 graph: append_step builds new graphs, never
         # mutating its input, so the hypotheses part ways at the first update
         graphs = [prior_graph(scenario)] * len(labels_enum)
@@ -184,9 +187,7 @@ class AnalyticHybridBelief:
         return logsumexp(parts, axis=0)
 
 
-def verify_weight_recursion(
-    scenario: Scenario, history, max_hypotheses: int = 10_000
-) -> dict:
+def verify_weight_recursion(scenario: Scenario, history) -> dict:
     """Check the hypothesis-weight recursion against freshly computed weights.
 
     Each step multiplies the previous weights by that hypothesis's predictive
@@ -194,7 +195,7 @@ def verify_weight_recursion(
     total predictive; the result must match weights recomputed from scratch.
     Returns the largest absolute deviation and the per-step ratio tables.
     """
-    belief = AnalyticHybridBelief.from_scenario(scenario, max_hypotheses)
+    belief = AnalyticHybridBelief.from_scenario(scenario)
     log_w = belief.log_prior_c - logsumexp(belief.log_prior_c)
     prev_ev = np.zeros(belief.n_tracked)
     max_dev = 0.0
@@ -251,13 +252,9 @@ class HypothesisParticleFilter:
 
     @classmethod
     def from_scenario(
-        cls,
-        scenario: Scenario,
-        rng: np.random.Generator,
-        n_particles: int = 500,
-        max_hypotheses: int = 10_000,
+        cls, scenario: Scenario, rng: np.random.Generator, n_particles: int
     ) -> "HypothesisParticleFilter":
-        labels_enum, log_prior_c = _hypothesis_prior(scenario, max_hypotheses)
+        labels_enum, log_prior_c = _hypothesis_prior(scenario, PF_MAX_HYPOTHESES)
         base = prior_graph(scenario)
         particles = np.stack([base.sample(rng, n_particles) for _ in labels_enum])
         log_hyp_w = log_prior_c - logsumexp(log_prior_c)

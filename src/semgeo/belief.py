@@ -65,8 +65,7 @@ def enumerate_labels(
     if max_hypotheses is not None and count > max_hypotheses:
         raise ValueError(
             f"{count} hypotheses exceed the guard {max_hypotheses} "
-            f"(max_hypotheses={max_hypotheses}); use estimate_structured "
-            "or raise max_hypotheses deliberately"
+            f"(max_hypotheses={max_hypotheses}); use estimate_structured"
         )
     total = n_hypotheses(n_objects, n_classes)
     return decode_labels(np.arange(total, dtype=np.int64), n_objects, n_classes)

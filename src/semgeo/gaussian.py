@@ -98,7 +98,6 @@ class GaussianFactorGraph:
         self._H = np.zeros((d, d))
         self._theta = np.zeros(d)
         self._log_const = 0.0
-        self.n_factors = 0
         self._cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -117,7 +116,6 @@ class GaussianFactorGraph:
         g._H[:d, :d] = self._H
         g._theta[:d] = self._theta
         g._log_const = self._log_const
-        g.n_factors = self.n_factors
         return g
 
     # ------------------------------------------------------------------
@@ -153,7 +151,6 @@ class GaussianFactorGraph:
         self._theta[cols] += a_mat.T @ ri_r
         logdet_r = 2.0 * np.sum(np.log(np.diag(cf[0])))
         self._log_const += -0.5 * m * LOG_2PI - 0.5 * logdet_r - 0.5 * resid @ ri_r
-        self.n_factors += 1
         self._cache.clear()
 
     def add_prior(self, cols, mean, cov) -> None:

@@ -10,15 +10,16 @@ is what grows with the class and object counts.
 
 Fairness contract: within a trial every method consumes the byte-identical
 action/observation stream, generated once from the trial's noise substream;
-the stream hash is recorded in the summary.  Reference values come from the
-exact Gaussian-sum belief sampled at a large sample count (its conditional
-taken through the factored-table route, which tests check agrees with the
-explicit hypothesis sum to 1e-9), never from the ground-truth world.  When
-a trial runs the timed `theoretical-all-hyp` method, the untimed reference
-adopts that method's belief after each of its updates instead of building
-the same belief again; the values are bit-identical.  The sharing goes one
-way only: a timed method never shares work with another method or with the
-reference, so every row's wall_ms measures that method's own work.
+the stream hash is recorded in the summary.  Reference values come from
+`methods.ExactReference`: the exact Gaussian-sum belief sampled at a large
+sample count (its conditional taken through the factored-table route, which
+tests check agrees with the explicit hypothesis sum to 1e-9), never from the
+ground-truth world.  When a trial runs the timed `theoretical-all-hyp`
+method, the reference follows it, adopting that method's belief after each
+of its updates instead of building the same belief again; the values are
+bit-identical.  The sharing goes one way only: a timed method never shares
+work with another method or with the reference, so every row's wall_ms
+measures that method's own work.
 
 Emitted metric rows share one schema across experiment kinds:
 trial, time_step, method, estimate, reference_value, squared_error,
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .estimators import OpenLoopPlan
-from .methods import METHOD_TAGS, create_method
+from .methods import METHOD_TAGS, ExactReference, create_method
 from .planner import PlannerConfig, run_planning_trial
 from .scenario import (
     Scenario,
@@ -78,11 +79,9 @@ PLANNING_COLUMNS = (
 
 
 # PlannerConfig fields a config's `planner` object may set; the harness fills
-# n_samples and method_options from the top level itself.
+# n_samples and n_particles from the top level itself.
 _PLANNER_KEYS = tuple(
-    f.name
-    for f in fields(PlannerConfig)
-    if f.name not in ("n_samples", "method_options")
+    f.name for f in fields(PlannerConfig) if f.name not in ("n_samples", "n_particles")
 )
 
 
@@ -236,13 +235,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(
                 f"unknown planner keys {unknown}; known: {list(_PLANNER_KEYS)} "
-                "(n_samples and method_options are set from the top level)"
+                "(n_samples and n_particles are set from the top level)"
             )
-
-    def method_options(self, tag: str) -> dict:
-        if tag.startswith("pf-"):
-            return {"n_particles": self.n_particles}
-        return {}
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -321,13 +315,8 @@ def _estimation_trial(
     streams = trial_streams(cfg.seed, trial)
     _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     rng = streams.sampler
-    methods = {
-        tag: create_method(tag, scenario, **cfg.method_options(tag))
-        for tag in cfg.methods
-    }
-    reference = create_method("theoretical-all-hyp", scenario, fast_conditional=True)
-    if "theoretical-all-hyp" in methods:
-        reference.follow(methods["theoretical-all-hyp"])
+    methods = {tag: create_method(tag, scenario, cfg.n_particles) for tag in cfg.methods}
+    reference = ExactReference(scenario, follow=methods.get("theoretical-all-hyp"))
     ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
     per_step = cfg.kind == "psafe-vs-time"
     resized = cfg.kind in _RESIZE_KINDS
@@ -361,11 +350,7 @@ def _estimation_trial(
 
 def _planning_trial(cfg: ExperimentConfig, scenario: Scenario, item) -> list:
     trial, tag = item
-    pcfg = PlannerConfig(
-        n_samples=cfg.n_samples,
-        method_options=cfg.method_options(tag),
-        **cfg.planner,
-    )
+    pcfg = PlannerConfig(n_samples=cfg.n_samples, n_particles=cfg.n_particles, **cfg.planner)
     res = run_planning_trial(scenario, tag, trial, cfg.seed, pcfg)
     return [res]
 

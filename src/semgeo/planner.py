@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -35,7 +35,7 @@ class PlannerConfig:
     n_samples: int = 200
     goal_radius: float = 1.0
     max_steps: int = 40
-    method_options: dict = field(default_factory=dict)
+    n_particles: int = 500
 
 
 @dataclass
@@ -166,7 +166,7 @@ def run_planning_trial(
     )
     world = sample_world(scenario, world_rng)
     t_start = time.perf_counter()
-    method = create_method(method_tag, scenario, **config.method_options)
+    method = create_method(method_tag, scenario, config.n_particles)
     x = world.trajectory[0].copy()
     traj = [x.copy()]
     violated = False

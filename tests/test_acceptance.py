@@ -27,7 +27,7 @@ from semgeo.estimators import (
     rollout_states,
 )
 from semgeo.harness import ExperimentConfig, load_scenario, run_experiment
-from semgeo.methods import create_method
+from semgeo.methods import ExactReference, create_method
 from semgeo.oracles import random_structured_reward
 from semgeo.samplers import (
     complete_hypotheses,
@@ -333,7 +333,7 @@ def test_c07_pruned_and_point_estimates_plateau():
         for action, batch in zip(history.actions, history.batches):
             m.update(action, batch, rng)
         methods[tag] = m
-    reference = create_method("theoretical-all-hyp", sc, fast_conditional=True)
+    reference = ExactReference(sc)
     for action, batch in zip(history.actions, history.batches):
         reference.update(action, batch)
     ref = reference.estimate(plan, 200_000, rng)["p_safe"].value
@@ -476,7 +476,7 @@ def test_c10_safety_probability_tracks_reference():
         _, history = simulate(sc, 2, streams.world, streams.noise)
         plan = OpenLoopPlan(sc.actions[2:6])
         ours = create_method("mcmc-ours", sc)
-        ref = create_method("theoretical-all-hyp", sc, fast_conditional=True)
+        ref = ExactReference(sc)
         for action, batch in zip(history.actions, history.batches):
             ours.update(action, batch, rng)
             ref.update(action, batch)

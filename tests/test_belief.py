@@ -124,7 +124,7 @@ def assert_same_graph(got, want):
     np.testing.assert_array_equal(got._H, want._H)
     np.testing.assert_array_equal(got._theta, want._theta)
     np.testing.assert_array_equal(got._log_const, want._log_const)
-    assert got.index == want.index and got.n_factors == want.n_factors
+    assert got.index == want.index
 
 
 class TestStepConstruction:

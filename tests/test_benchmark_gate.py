@@ -1,17 +1,23 @@
 """The benchmark's output gate, run as the benchmark runs it.
 
 Each workload's traced run must exit 0, match the golden digests on its
-default seed and pass the tracer's self-check; perfbench's own self-test
+default seed and pass the tracer's self-check; its untraced run on a seed
+the digests do not pin must pass the invariants; perfbench's own self-test
 must pass.  The scripts run from the repository root and only read
-perfbench/ (their outputs go to the ignored .bench_out/).
+perfbench/ (their outputs go to the ignored .bench_out/).  The tracer's
+contract with the method classes is checked in process.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from semgeo.harness import ExperimentConfig, run_experiment
+from semgeo.methods import METHOD_TAGS, ExactReference, create_method
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("plan-table", "psafe-time", "class-sweep")
@@ -33,6 +39,64 @@ def test_traced_run_matches_golden(workload):
     result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert result["metrics"]["trace.self_check"]["value"] == 1
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_run_on_an_unpinned_seed(workload):
+    proc = run_script(
+        "perfbench/run.py", "--workload", workload, "--seed", "3101", "--seconds", "0"
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    gate = json.loads(next(line for line in lines if line.startswith("gate "))[5:])
+    assert gate["checked"] is False
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_tells_the_reference_apart(oracle_small):
+    tracing = load_tracing()
+    assert tracing.is_reference(ExactReference(oracle_small))
+    for tag in METHOD_TAGS:
+        assert not tracing.is_reference(create_method(tag, oracle_small))
+
+
+@pytest.mark.parametrize(
+    "methods", [["theoretical-all-hyp", "mcmc-ours"], ["mcmc-ours"]], ids=["follow", "own"]
+)
+def test_untimed_probes_run_before_each_reference_update(tmp_path, methods):
+    """One probe per world draw and one per reference update, whether or
+    not the reference follows a timed exact belief; the benchmark subtracts
+    them from the timed wall."""
+    tracing = load_tracing()
+    cfg = ExperimentConfig.from_dict(
+        dict(
+            kind="psafe-vs-time",
+            scenario="oracle_small",
+            methods=methods,
+            trials=2,
+            n_steps=3,
+            eval_horizon=2,
+            n_samples=20,
+            reference_samples=200,
+        )
+    )
+    probes = tracing.UntimedProbe(lambda: 0.0)
+    probes.install()
+    try:
+        run_experiment(cfg, tmp_path)
+    finally:
+        probes.uninstall()
+    assert len(probes.samples) == cfg.trials * (cfg.n_steps + 1)
 
 
 def test_benchmark_selftest():

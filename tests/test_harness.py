@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import semgeo.cli as cli_mod
 import semgeo.harness as harness_mod
-from semgeo.baselines import AnalyticHybridBelief
+from semgeo.baselines import AnalyticHybridBelief, HypothesisParticleFilter
 from semgeo.cli import main
 from semgeo.harness import (
     METRIC_COLUMNS,
@@ -32,7 +32,7 @@ from semgeo.harness import (
     resize_scenario,
     run_experiment,
 )
-from semgeo.methods import _Method, create_method
+from semgeo.methods import ExactReference, _Method, _TheoreticalMethod, create_method
 from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
 
 
@@ -102,7 +102,9 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="bad config field"):
             ExperimentConfig.from_dict(self.base(n_sample=10))
 
-    @pytest.mark.parametrize("key", ["bogus", "n_samples", "method_options", "replan_every"])
+    @pytest.mark.parametrize(
+        "key", ["bogus", "n_samples", "n_particles", "method_options", "replan_every"]
+    )
     def test_unknown_planner_key(self, key):
         """Keys PlannerConfig lacks, or that the harness sets itself, fail at
         parse time instead of as a TypeError inside run_experiment."""
@@ -215,11 +217,6 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ConfigError, match="n_steps"):
                 ExperimentConfig.from_dict(self.base(**over))
-
-    def test_method_options_route_particle_counts(self):
-        cfg = ExperimentConfig.from_dict(self.base(n_particles=77))
-        assert cfg.method_options("pf-pruned") == {"n_particles": 77}
-        assert cfg.method_options("mcmc-ours") == {}
 
     def test_from_json_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -350,6 +347,27 @@ class TestRunExperiment:
         for row in rows:
             assert -1e-12 <= float(row[3]) <= 1.0 + 1e-12
 
+    def test_n_particles_reaches_the_filter_on_both_paths(self, tmp_path, monkeypatch):
+        """A config's top-level n_particles sizes the pf-* filter in the
+        estimation trials and in the planning trials."""
+        sizes = []
+        build = HypothesisParticleFilter.from_scenario.__func__
+
+        def recorded(cls, scenario, rng, n_particles):
+            sizes.append(n_particles)
+            return build(cls, scenario, rng, n_particles)
+
+        monkeypatch.setattr(HypothesisParticleFilter, "from_scenario", classmethod(recorded))
+        for over in (
+            {"methods": ["pf-pruned"], "trials": 1},
+            {"kind": "planning-table", "methods": ["pf-all-hyp"], "trials": 1,
+             "planner": {"n_nodes": 30, "n_candidates": 2, "max_steps": 2}},
+        ):
+            sizes.clear()
+            cfg = ExperimentConfig.from_dict(dict(TINY, n_particles=7, **over))
+            run_experiment(cfg, tmp_path / cfg.kind)
+            assert sizes == [7], cfg.kind
+
     def test_class_sweep_resizes(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             dict(
@@ -456,12 +474,8 @@ class TestWallMs:
     def test_update_time_counts_only_on_resized_scenarios(
         self, tmp_path, monkeypatch, over, counts_updates
     ):
-        real = harness_mod.create_method
-
-        def create(tag, scenario, n_particles=500, fast_conditional=False):
-            # the untimed reference stays real; the timed method sleeps
-            if fast_conditional:
-                return real(tag, scenario, fast_conditional=True)
+        def create(tag, scenario, n_particles=500):
+            # the untimed reference is built apart and stays real
             return SleepyMethod()
 
         monkeypatch.setattr(harness_mod, "create_method", create)
@@ -531,14 +545,13 @@ class TestSharedReference:
         streams = trial_streams(5, 0)
         _, history = simulate(oracle_small, 2, streams.world, streams.noise)
         timed = create_method("theoretical-all-hyp", oracle_small)
-        reference = create_method("theoretical-all-hyp", oracle_small, fast_conditional=True)
-        reference.follow(timed)
+        reference = ExactReference(oracle_small, follow=timed)
         action, batch = history.actions[0], history.batches[0]
         with pytest.raises(RuntimeError, match="update it before the reference"):
             reference.update(action, batch)
         timed.update(action, batch)
         reference.update(action, batch)
-        assert reference.belief is timed.belief and reference.k == 1
+        assert reference.exact is timed.belief and reference.k == 1
 
     def test_timed_prior_query_fills_its_own_memos(self, tmp_path, monkeypatch):
         """At n_steps 0 the reference queries before the timed rows; it must
@@ -548,7 +561,7 @@ class TestSharedReference:
         estimate = _Method.estimate
 
         def recorded(method, plan, n_samples, rng):
-            if method.tag == "theoretical-all-hyp" and not method.fast_conditional:
+            if type(method) is _TheoreticalMethod:
                 seen.append(method.belief._log_w is None)
             return estimate(method, plan, n_samples, rng)
 

@@ -13,14 +13,21 @@ import pytest
 
 import semgeo.methods as methods_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan, safety_reward
-from semgeo.methods import METHOD_TAGS, create_method
+from semgeo.methods import METHOD_TAGS, ExactReference, create_method
 from semgeo.scenario import ScenarioError, simulate, trial_streams
 
 PLAN = OpenLoopPlan(np.tile([0.4, 0.2], (3, 1)))
 
 
+def build(tag, scenario, **options):
+    """A method by tag; "reference" is the harness's ExactReference."""
+    if tag == "reference":
+        return ExactReference(scenario)
+    return create_method(tag, scenario, **options)
+
+
 def advanced(tag, scenario, history, seed=17, **options):
-    method = create_method(tag, scenario, **options)
+    method = build(tag, scenario, **options)
     rng = np.random.default_rng(seed)
     for action, batch in zip(history.actions, history.batches):
         method.update(action, batch, rng)
@@ -45,10 +52,12 @@ class TestCreateMethod:
         with pytest.raises(TypeError, match="n_particle"):
             create_method("pf-pruned", oracle_small, n_particle=10)
 
-    def test_fast_conditional_reaches_both_theoretical_tags(self, oracle_small):
-        for tag in ("theoretical-all-hyp", "theoretical-pruned"):
-            assert create_method(tag, oracle_small, fast_conditional=True).fast_conditional
-            assert not create_method(tag, oracle_small).fast_conditional
+    def test_fast_conditional_is_rejected_by_every_tag(self, oracle_small):
+        """The reference is its own class (ExactReference); no tag switches
+        into its route."""
+        for tag in METHOD_TAGS:
+            with pytest.raises(TypeError, match="fast_conditional"):
+                create_method(tag, oracle_small, fast_conditional=True)
 
 
 class TestSharedContract:
@@ -76,9 +85,7 @@ class TestSharedContract:
             method.update(history.actions[0], history.batches[0], rng)
 
     @pytest.mark.parametrize(
-        "tag, options",
-        [(tag, {}) for tag in METHOD_TAGS]
-        + [("theoretical-all-hyp", {"fast_conditional": True})],
+        "tag, options", [(tag, {}) for tag in METHOD_TAGS] + [("reference", {})]
     )
     def test_reward_route_matches_estimate(self, tag, options, oracle_small, seeded_history):
         """estimate_reward with the safety reward makes the same draws and
@@ -98,7 +105,7 @@ class TestSharedContract:
             ("theoretical-all-hyp", {}),
             ("theoretical-pruned", {}),
             ("gs-map", {}),
-            ("theoretical-all-hyp", {"fast_conditional": True}),
+            ("reference", {}),
         ],
     )
     def test_one_posterior_draw_per_step(
@@ -114,7 +121,7 @@ class TestSharedContract:
             "rollout_states",
             lambda sset, *args: drawn.append(sset) or original(sset, *args),
         )
-        method = create_method(tag, oracle_small, **options)
+        method = build(tag, oracle_small, **options)
         rng = np.random.default_rng(17)
         n = 60
         for action, batch in zip(history.actions, history.batches):
@@ -177,9 +184,7 @@ class TestAgreement:
             streams = trial_streams(7, 0)
             _, history = simulate(sc, 3, streams.world, streams.noise)
             slow, rng_a = advanced("theoretical-all-hyp", sc, history)
-            fast, rng_b = advanced(
-                "theoretical-all-hyp", sc, history, fast_conditional=True
-            )
+            fast, rng_b = advanced("reference", sc, history)
             a = slow.estimate(PLAN, 4_000, rng_a)
             b = fast.estimate(PLAN, 4_000, rng_b)
             assert abs(a["p_safe"].value - b["p_safe"].value) <= 1e-9
