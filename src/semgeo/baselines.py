@@ -139,11 +139,14 @@ class AnalyticHybridBelief:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def prune(self, keep: int = 3) -> "AnalyticHybridBelief":
-        """Keep the leading hypotheses by posterior weight, renormalized."""
+    def prune(self, keep: int) -> "AnalyticHybridBelief":
+        """Keep the leading hypotheses by posterior weight, renormalized;
+        self when it tracks no more than keep."""
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        sel = _top_k(self.log_weights, min(keep, self.n_tracked))
+        if keep >= self.n_tracked:
+            return self
+        sel = _top_k(self.log_weights, keep)
         return AnalyticHybridBelief(
             self.scenario,
             self.labels_enum[sel],
@@ -157,6 +160,10 @@ class AnalyticHybridBelief:
     def mixture_mean(self) -> np.ndarray:
         means = np.stack([g.mean for g in self.graphs])
         return self.weights @ means
+
+    def pose_mean(self) -> np.ndarray:
+        """Mixture mean of the current pose."""
+        return self.mixture_mean()[self.index.pose_slice(self.k)]
 
     def sample(self, n: int, rng: np.random.Generator) -> WeightedStateSet:
         """Exact joint draws: hypothesis by weight, then its Gaussian."""
@@ -327,14 +334,20 @@ class HypothesisParticleFilter:
         self.particles = grown
         self.index = self.index.with_appended_step()
 
-    def prune(self, keep: int = 3) -> None:
-        sel = _top_k(self.log_hyp_w, min(keep, self.n_tracked))
+    def prune(self, keep: int) -> None:
+        """Keep the keep leading hypotheses, renormalized; no-op when it
+        tracks no more than keep."""
+        if keep >= self.n_tracked:
+            return
+        sel = _top_k(self.log_hyp_w, keep)
         self.labels_enum = self.labels_enum[sel]
         self.particles = self.particles[sel]
         self.log_hyp_w = self.log_hyp_w[sel] - logsumexp(self.log_hyp_w[sel])
 
-    def mixture_mean(self) -> np.ndarray:
-        return self.weights @ self.particles.mean(axis=1)
+    def pose_mean(self) -> np.ndarray:
+        """Mixture mean of the current pose."""
+        mean = self.weights @ self.particles.mean(axis=1)
+        return mean[self.index.pose_slice(self.k)]
 
     def sample(self, n: int, rng: np.random.Generator) -> WeightedStateSet:
         """Joint draws: hypothesis by weight, particle uniformly within it."""

@@ -148,6 +148,10 @@ class HybridBelief:
     def k(self) -> int:
         return self.index.n_steps
 
+    def pose_mean(self) -> np.ndarray:
+        """Posterior mean of the current pose."""
+        return self.geo.mean[self.index.pose_slice(self.k)]
+
     def update(self, action: np.ndarray, batch: ObservationBatch) -> "HybridBelief":
         """Condition on one motion step and its observation batch."""
         if batch.t != self.k + 1:

@@ -3,7 +3,7 @@
 A structured reward is a sum of terms, each a product of per-object factors
 that depend on that object's class:
 
-    r(C, X) = sum_j base_j(X) * prod_{n in objects_j} f_{j,n}(c_n, X)
+    r(C, X) = sum_j prod_{n in objects_j} f_{j,n}(c_n, X)
 
 For such rewards the expectation over the joint belief reduces, per state
 sample, to products of per-object class sums against the factored
@@ -93,21 +93,18 @@ class RewardContext:
     index: StackedIndex
     rollout: np.ndarray  # (horizon, 2, n) planes from rollout_states
     scenario: Scenario
-    plan: OpenLoopPlan
     cache: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class RewardTerm:
-    """One product term: base(ctx) * prod_{n in objects} element(n, ctx)[:, c_n].
+    """One product term: prod_{n in objects} element(n, ctx)[:, c_n].
 
-    element(n, ctx) returns an (n_samples, n_classes) array; base, when set,
-    returns a class-free (n_samples,) factor.
+    element(n, ctx) returns an (n_samples, n_classes) array.
     """
 
     objects: tuple
     element: object
-    base: object = None
 
 
 @dataclass(frozen=True)
@@ -127,18 +124,13 @@ class EstimateReport:
     extras: dict = field(default_factory=dict)
 
 
-def make_context(state_set, rollout, scenario, plan=None) -> RewardContext:
+def make_context(state_set, rollout, scenario) -> RewardContext:
     return RewardContext(
         samples=state_set.samples,
         index=state_set.index,
         rollout=rollout,
         scenario=scenario,
-        plan=plan if plan is not None else OpenLoopPlan.empty(),
     )
-
-
-def _base_values(term: RewardTerm, ctx: RewardContext, n: int) -> np.ndarray:
-    return np.ones(n) if term.base is None else np.asarray(term.base(ctx), dtype=float)
 
 
 def _weighted_report(values, state_set) -> EstimateReport:
@@ -175,7 +167,7 @@ def reward_at_labels(reward, ctx, labels) -> np.ndarray:
     rows = np.arange(n)
     total = np.zeros(n)
     for term in reward.terms:
-        acc = _base_values(term, ctx, n)
+        acc = np.ones(n)
         for obj in term.objects:
             acc = acc * term.element(obj, ctx)[rows, labels[:, obj]]
         total += acc
@@ -187,7 +179,7 @@ def structured_values(reward, ctx, class_probs) -> np.ndarray:
     n = len(ctx.samples)
     total = np.zeros(n)
     for term in reward.terms:
-        acc = _base_values(term, ctx, n)
+        acc = np.ones(n)
         for obj in term.objects:
             fac = term.element(obj, ctx)
             acc = acc * np.einsum("ic,ic->i", class_probs[:, obj, :], fac)
@@ -201,7 +193,7 @@ def explicit_values(reward, ctx, labels_enum) -> np.ndarray:
     h = len(labels_enum)
     total = np.zeros((n, h))
     for term in reward.terms:
-        acc = np.broadcast_to(_base_values(term, ctx, n)[:, None], (n, h)).copy()
+        acc = np.ones((n, h))
         for obj in term.objects:
             fac = term.element(obj, ctx)
             acc *= fac[:, labels_enum[:, obj]]
@@ -213,21 +205,19 @@ def explicit_values(reward, ctx, labels_enum) -> np.ndarray:
 # estimators
 
 
-def estimate_sampled_xc(state_set, rollout, reward, scenario, plan=None) -> EstimateReport:
+def estimate_sampled_xc(state_set, rollout, reward, scenario) -> EstimateReport:
     """Plain joint-sample estimator: reward at each (X, C) pair."""
     if state_set.labels is None:
         raise ValueError("state_set has no class labels; complete hypotheses first")
-    ctx = make_context(state_set, rollout, scenario, plan)
+    ctx = make_context(state_set, rollout, scenario)
     return _weighted_report(reward_at_labels(reward, ctx, state_set.labels), state_set)
 
 
-def estimate_structured(
-    state_set, rollout, reward, scenario, class_probs, plan=None
-) -> EstimateReport:
+def estimate_structured(state_set, rollout, reward, scenario, class_probs) -> EstimateReport:
     """Conditional-expectation estimator using factored per-object sums."""
     class_probs = np.asarray(class_probs, dtype=float)
     _check_rows_normalized(class_probs)
-    ctx = make_context(state_set, rollout, scenario, plan)
+    ctx = make_context(state_set, rollout, scenario)
     return _weighted_report(structured_values(reward, ctx, class_probs), state_set)
 
 
@@ -239,7 +229,6 @@ def estimate_explicit_c(
     class_probs=None,
     joint_probs=None,
     labels_enum=None,
-    plan=None,
     max_hypotheses: int = 10_000,
 ) -> EstimateReport:
     """Brute-force conditional expectation over every joint hypothesis.
@@ -253,7 +242,7 @@ def estimate_explicit_c(
         raise ValueError("need class_probs or joint_probs")
     if joint_probs is not None and labels_enum is None:
         raise ValueError("joint_probs requires labels_enum")
-    ctx = make_context(state_set, rollout, scenario, plan)
+    ctx = make_context(state_set, rollout, scenario)
     if joint_probs is None:
         labels_enum = enumerate_labels(scenario.n_objects, scenario.n_classes, max_hypotheses)
         class_probs = np.asarray(class_probs, dtype=float)
@@ -393,20 +382,19 @@ def rao_blackwell_gap(
             scenario,
             joint_probs=joint,
             labels_enum=belief.labels_enum,
-            plan=plan,
         )
 
     # reference value from one large exact joint draw
     big = belief.sample(reference_samples, streams.sampler)
     big_roll = rollout_states(big, plan, scenario, streams.sampler)
-    ref = estimate_sampled_xc(big, big_roll, reward, scenario, plan)
+    ref = estimate_sampled_xc(big, big_roll, reward, scenario)
 
     err_joint = np.empty(repetitions)
     err_rb = np.empty(repetitions)
     for r in range(repetitions):
         sset = belief.sample(n_samples, streams.sampler)
         rollout = rollout_states(sset, plan, scenario, streams.sampler)
-        est_joint = estimate_sampled_xc(sset, rollout, reward, scenario, plan)
+        est_joint = estimate_sampled_xc(sset, rollout, reward, scenario)
         est_rb = explicit_report(sset, rollout)
         err_joint[r] = (est_joint.value - ref.value) ** 2
         err_rb[r] = (est_rb.value - ref.value) ** 2
@@ -418,7 +406,7 @@ def rao_blackwell_gap(
     # predicted gap: mean conditional variance of the reward, over the state
     pred = belief.sample(predict_samples, streams.sampler)
     pred_roll = rollout_states(pred, plan, scenario, streams.sampler)
-    ctx = make_context(pred, pred_roll, scenario, plan)
+    ctx = make_context(pred, pred_roll, scenario)
     joint = belief.conditional_joint_probs(pred.samples)
     values = explicit_values(reward, ctx, belief.labels_enum)
     cond_mean = np.einsum("ih,ih->i", joint, values)

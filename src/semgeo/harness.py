@@ -33,7 +33,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -56,17 +56,6 @@ BENCHMARK_KINDS = ("rmse-vs-samples", "rmse-vs-classes", "rmse-vs-objects")
 PLANNING_KINDS = ("planning-table",)
 ALL_KINDS = ESTIMATION_KINDS + BENCHMARK_KINDS + PLANNING_KINDS
 
-METRIC_COLUMNS = (
-    "trial",
-    "time_step",
-    "method",
-    "estimate",
-    "reference_value",
-    "squared_error",
-    "wall_ms",
-    "n_samples",
-    "sweep_value",
-)
 PLANNING_COLUMNS = (
     "trial",
     "method",
@@ -127,6 +116,9 @@ class MetricRow:
     wall_ms: float
     n_samples: int
     sweep_value: object = ""
+
+
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricRow))
 
 
 def load_scenario(spec) -> Scenario:
@@ -496,21 +488,7 @@ def _emit(columns, cells, summary: dict, out_dir, prefix: str) -> dict:
 
 
 def emit_plotdata(rows, summary: dict, out_dir, prefix: str) -> dict:
-    cells = (
-        [
-            r.trial,
-            r.time_step,
-            r.method,
-            repr(r.estimate),
-            repr(r.reference_value),
-            repr(r.squared_error),
-            repr(r.wall_ms),
-            r.n_samples,
-            r.sweep_value,
-        ]
-        for r in rows
-    )
-    return _emit(METRIC_COLUMNS, cells, summary, out_dir, prefix)
+    return _emit(METRIC_COLUMNS, map(astuple, rows), summary, out_dir, prefix)
 
 
 def emit_planning(rows, summary: dict, out_dir, prefix: str) -> dict:

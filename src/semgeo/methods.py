@@ -2,12 +2,13 @@
 
 Every method consumes the same action/observation stream through update()
 and answers plan queries through estimate(), returning safety-probability
-and expected-cost reports.  All but the particle filters share one query
-path (`_Method`): posterior states and their class posterior b[C|X] are
-drawn once per time step and sample count, so evaluating many candidate
-plans at one step reuses one draw; each plan is rolled forward from them
-afresh, then reported as an expectation over the classes, plus the cost.
-The particle filters draw per hypothesis on every query instead.
+and expected-cost reports.  All but the particle filters are one class,
+`_Method`, and differ only by their row of `_TABLE`: the belief they keep,
+their draw, and whether they prune.  A draw returns the step's states with
+their report, the sum over the classes.  It runs once per time step and
+sample count, so many candidate plans at one step share one draw; each plan
+is rolled forward from it afresh, reported, then costed.  The particle
+filters (`_ParticleMethod`) draw per hypothesis on every query instead.
 
 Tags:
     mcmc-ours            factored belief, Metropolis-Hastings state samples
@@ -57,16 +58,19 @@ PRUNE_KEEP = 3
 class _Method:
     """The shared query path: draw -> rollout -> reward report (+ cost).
 
-    Subclasses hold a `belief` and supply `_advance(action, batch)`,
-    `pose_mean()`, `_draw(n, rng) -> (state_set, conditional)` and
-    `_report(reward, state_set, conditional, rollout, plan)`.  They do not
-    override update or estimate, which perfbench's tracer wraps on the
-    class that defines them.
+    `draw(method, n, rng)` returns (state_set, report), with
+    `report(reward, rollout) -> EstimateReport`; `keep`, when set, prunes the
+    belief to that many hypotheses after every update.  Subclasses do not
+    override update or estimate, which perfbench's tracer wraps on the class
+    that defines them.
     """
 
-    def __init__(self, scenario: Scenario, tag: str):
+    def __init__(self, scenario: Scenario, tag: str, belief, draw, keep=None):
         self.scenario = scenario
         self.tag = tag
+        self.belief = belief
+        self._draw = draw
+        self._keep = keep
         self._draws = {}
 
     @property
@@ -77,97 +81,96 @@ class _Method:
         self._advance(action, batch)
         self._draws = {}
 
+    def _advance(self, action, batch) -> None:
+        self.belief = self.belief.update(action, batch)
+        if self._keep is not None:
+            self.belief = self.belief.prune(self._keep)
+
+    def pose_mean(self) -> np.ndarray:
+        return self.belief.pose_mean()
+
     def _states(self, n_samples: int, rng):
         if n_samples not in self._draws:
-            self._draws[n_samples] = self._draw(n_samples, rng)
+            self._draws[n_samples] = self._draw(self, n_samples, rng)
         return self._draws[n_samples]
 
     def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
-        sset, cond = self._states(n_samples, rng)
+        sset, report = self._states(n_samples, rng)
         rollout = rollout_states(sset, plan, self.scenario, rng)
         return {
-            "p_safe": self._report(safety_reward(self.scenario), sset, cond, rollout, plan),
+            "p_safe": report(safety_reward(self.scenario), rollout),
             "cost": expected_cost(sset, rollout, plan, self.scenario),
         }
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
-        sset, cond = self._states(n_samples, rng)
-        rollout = rollout_states(sset, plan, self.scenario, rng)
-        return self._report(reward, sset, cond, rollout, plan)
+        sset, report = self._states(n_samples, rng)
+        return report(reward, rollout_states(sset, plan, self.scenario, rng))
 
 
-class _FactoredMethod(_Method):
-    """Factored hybrid belief; MH or SNIS state draws, structured estimator."""
-
-    def __init__(self, scenario: Scenario, tag: str):
-        super().__init__(scenario, tag)
-        self.belief = HybridBelief.from_scenario(scenario)
-
-    def _advance(self, action, batch) -> None:
-        self.belief = self.belief.update(action, batch)
-
-    def pose_mean(self) -> np.ndarray:
-        return self.belief.geo.mean[self.belief.index.pose_slice(self.belief.k)]
-
-    def _draw(self, n_samples: int, rng):
-        sample = mh_sample if self.tag == "mcmc-ours" else snis_sample
-        sset = sample(self.belief, n_samples, rng)
-        return sset, self.belief.class_posterior_given_state(sset.samples)
-
-    def _report(self, reward, sset, probs, rollout, plan) -> EstimateReport:
-        return estimate_structured(sset, rollout, reward, self.scenario, probs, plan)
+# ----------------------------------------------------------------------
+# draws: (method, n, rng) -> (state_set, report).  They look the samplers
+# and estimators up by module name when called, never holding the function
+# objects, so perfbench's tracer reaches them by rebinding those names.  A
+# report must not hold its method: the method caches it, and the cycle would
+# keep every finished trial's draws alive until a full garbage collection.
 
 
-class _MapMethod(_FactoredMethod):
+def _structured(m: _Method, sset):
+    """The factored conditional b[C|X] of the drawn states, summed by the
+    structured estimator."""
+    scenario = m.scenario
+    probs = m.belief.class_posterior_given_state(sset.samples)
+    return sset, lambda reward, rollout: estimate_structured(
+        sset, rollout, reward, scenario, probs
+    )
+
+
+def _mh_draw(m: _Method, n_samples: int, rng):
+    return _structured(m, mh_sample(m.belief, n_samples, rng))
+
+
+def _snis_draw(m: _Method, n_samples: int, rng):
+    return _structured(m, snis_sample(m.belief, n_samples, rng))
+
+
+def _exact_draw(m: _Method, n_samples: int, rng):
+    """Exact joint draws, summed explicitly over every tracked hypothesis."""
+    scenario, labels_enum = m.scenario, m.belief.labels_enum
+    sset = m.belief.sample(n_samples, rng)
+    joint = m.belief.conditional_joint_probs(sset.samples)
+    return sset, lambda reward, rollout: estimate_explicit_c(
+        sset, rollout, reward, scenario, joint_probs=joint, labels_enum=labels_enum
+    )
+
+
+def _map_draw(m: _Method, n_samples: int, rng):
     """Point-estimate baseline: all uncertainty collapsed before evaluation."""
-
-    def _draw(self, n_samples: int, rng):
-        x_map, labels = gs_map_estimate(self.belief)
-        sset = WeightedStateSet(
-            samples=np.tile(x_map, (n_samples, 1)),
-            log_weights=np.zeros(n_samples),
-            index=self.belief.index,
-            labels=np.tile(labels, (n_samples, 1)),
-        )
-        return sset, None
-
-    def _report(self, reward, sset, _, rollout, plan) -> EstimateReport:
-        return estimate_sampled_xc(sset, rollout, reward, self.scenario, plan)
+    scenario = m.scenario
+    x_map, labels = gs_map_estimate(m.belief)
+    sset = WeightedStateSet(
+        samples=np.tile(x_map, (n_samples, 1)),
+        log_weights=np.zeros(n_samples),
+        index=m.belief.index,
+        labels=np.tile(labels, (n_samples, 1)),
+    )
+    return sset, lambda reward, rollout: estimate_sampled_xc(sset, rollout, reward, scenario)
 
 
-class _TheoreticalMethod(_Method):
-    """Exact Gaussian-sum belief with honest explicit hypothesis sums."""
-
-    def __init__(self, scenario: Scenario, pruned: bool):
-        super().__init__(scenario, "theoretical-pruned" if pruned else "theoretical-all-hyp")
-        self.pruned = pruned
-        self.belief = AnalyticHybridBelief.from_scenario(scenario)
-
-    def _advance(self, action, batch) -> None:
-        self.belief = self.belief.update(action, batch)
-        if self.pruned and self.belief.n_tracked > PRUNE_KEEP:
-            self.belief = self.belief.prune(PRUNE_KEEP)
-
-    def pose_mean(self) -> np.ndarray:
-        return self.belief.mixture_mean()[self.belief.index.pose_slice(self.belief.k)]
-
-    def _draw(self, n_samples: int, rng):
-        sset = self.belief.sample(n_samples, rng)
-        return sset, self.belief.conditional_joint_probs(sset.samples)
-
-    def _report(self, reward, sset, probs, rollout, plan) -> EstimateReport:
-        return estimate_explicit_c(
-            sset,
-            rollout,
-            reward,
-            self.scenario,
-            joint_probs=probs,
-            labels_enum=self.belief.labels_enum,
-            plan=plan,
-        )
+def _reference_draw(m: ExactReference, n_samples: int, rng):
+    return _structured(m, m.exact.sample(n_samples, rng))
 
 
-class ExactReference(_FactoredMethod):
+# tag -> (belief class, draw, keep)
+_TABLE = {
+    "theoretical-all-hyp": (AnalyticHybridBelief, _exact_draw, None),
+    "theoretical-pruned": (AnalyticHybridBelief, _exact_draw, PRUNE_KEEP),
+    "mcmc-ours": (HybridBelief, _mh_draw, None),
+    "snis-ours": (HybridBelief, _snis_draw, None),
+    "gs-map": (HybridBelief, _map_draw, None),
+}
+
+
+class ExactReference(_Method):
     """The harness's untimed reference: states drawn from the exact
     Gaussian-sum belief (`exact`), read through the factored belief's
     conditional b[C|X] and the structured estimator.  The conditional equals
@@ -187,8 +190,10 @@ class ExactReference(_FactoredMethod):
     # attribute; without it the reference's spans and untimed probes vanish.
     fast_conditional = True
 
-    def __init__(self, scenario: Scenario, follow: _TheoreticalMethod | None = None):
-        super().__init__(scenario, "reference")
+    def __init__(self, scenario: Scenario, follow: _Method | None = None):
+        super().__init__(
+            scenario, "reference", HybridBelief.from_scenario(scenario), _reference_draw
+        )
         self.exact = AnalyticHybridBelief.from_scenario(scenario)
         self._follow = follow
 
@@ -205,11 +210,7 @@ class ExactReference(_FactoredMethod):
         super()._advance(action, batch)
 
     def pose_mean(self) -> np.ndarray:
-        return self.exact.mixture_mean()[self.exact.index.pose_slice(self.exact.k)]
-
-    def _draw(self, n_samples: int, rng):
-        sset = self.exact.sample(n_samples, rng)
-        return sset, self.belief.class_posterior_given_state(sset.samples)
+        return self.exact.pose_mean()
 
 
 class _ParticleMethod:
@@ -220,10 +221,10 @@ class _ParticleMethod:
     first rng it sees, whether an update's or a query's.
     """
 
-    def __init__(self, scenario: Scenario, pruned: bool, n_particles: int):
+    def __init__(self, scenario: Scenario, tag: str, n_particles: int):
         self.scenario = scenario
-        self.pruned = pruned
-        self.tag = "pf-pruned" if pruned else "pf-all-hyp"
+        self.tag = tag
+        self._keep = PRUNE_KEEP if tag == "pf-pruned" else None
         self._n_particles = n_particles
         self.pf = None
 
@@ -240,13 +241,13 @@ class _ParticleMethod:
     def update(self, action, batch, rng) -> None:
         self._ensure(rng)
         self.pf.update(action, batch, rng)
-        if self.pruned and self.pf.n_tracked > PRUNE_KEEP:
-            self.pf.prune(PRUNE_KEEP)
+        if self._keep is not None:
+            self.pf.prune(self._keep)
 
     def pose_mean(self) -> np.ndarray:
         if self.pf is None:
             return self.scenario.robot_prior_mean.copy()
-        return self.pf.mixture_mean()[self.pf.index.pose_slice(self.pf.k)]
+        return self.pf.pose_mean()
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
         self._ensure(rng)
@@ -256,7 +257,7 @@ class _ParticleMethod:
         for h in range(self.pf.n_tracked):
             sset = self.pf.hypothesis_state_set(h, n_samples, rng)
             rollout = rollout_states(sset, plan, self.scenario, rng)
-            rep = estimate_sampled_xc(sset, rollout, reward, self.scenario, plan)
+            rep = estimate_sampled_xc(sset, rollout, reward, self.scenario)
             value += weights[h] * rep.value
             var += (weights[h] * rep.std_error) ** 2
         return EstimateReport(
@@ -282,12 +283,9 @@ def create_method(tag: str, scenario: Scenario, n_particles: int = 500):
     """Instantiate a method state by tag.  Every tag accepts n_particles,
     which mirrors the experiment config's top-level value; only the pf-*
     filters use it, as their particle count per hypothesis."""
-    if tag in ("mcmc-ours", "snis-ours"):
-        return _FactoredMethod(scenario, tag)
-    if tag in ("theoretical-all-hyp", "theoretical-pruned"):
-        return _TheoreticalMethod(scenario, pruned=tag == "theoretical-pruned")
     if tag in ("pf-all-hyp", "pf-pruned"):
-        return _ParticleMethod(scenario, pruned=tag == "pf-pruned", n_particles=n_particles)
-    if tag == "gs-map":
-        return _MapMethod(scenario, tag)
-    raise ValueError(f"unknown method tag {tag!r}; known: {', '.join(METHOD_TAGS)}")
+        return _ParticleMethod(scenario, tag, n_particles)
+    if tag not in _TABLE:
+        raise ValueError(f"unknown method tag {tag!r}; known: {', '.join(METHOD_TAGS)}")
+    belief, draw, keep = _TABLE[tag]
+    return _Method(scenario, tag, belief.from_scenario(scenario), draw, keep)

@@ -160,7 +160,7 @@ def _check(name, passed, detail="") -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def check_codec(seed: int = 0) -> CheckResult:
+def check_codec() -> CheckResult:
     n_objects, n_classes = 3, 4
     labels = enumerate_labels(n_objects, n_classes)
     idx = np.arange(n_classes**n_objects)
@@ -259,10 +259,8 @@ def check_structured_vs_explicit(scenario: Scenario, seed: int = 0) -> CheckResu
     worst = 0.0
     for _ in range(5):
         reward = random_structured_reward(scenario, streams.sampler)
-        a = estimate_structured(sset, rollout, reward, scenario, probs, plan).value
-        b = estimate_explicit_c(
-            sset, rollout, reward, scenario, class_probs=probs, plan=plan
-        ).value
+        a = estimate_structured(sset, rollout, reward, scenario, probs).value
+        b = estimate_explicit_c(sset, rollout, reward, scenario, class_probs=probs).value
         worst = max(worst, abs(a - b) / max(abs(a), 1.0))
     return _check("structured-vs-explicit", worst < 1e-12, f"max rel dev {worst:.2e}")
 
@@ -313,21 +311,21 @@ def check_sampler_moments(scenario: Scenario, seed: int = 0) -> CheckResult:
     return _check("sampler-moments", worst < 6.0, f"max |z| {worst:.2f} (6.0 limit)")
 
 
-def check_mse_bound_example(seed: int = 0) -> CheckResult:
+def check_mse_bound_example() -> CheckResult:
     val = is_mse_lower_bound(
         np.full(4, 0.25), np.full(4, 0.25), np.array([0.0, 1.0, 0.0, 1.0]), 100
     )
     return _check("mse-bound-example", abs(val - 0.01) < 1e-15, f"value {val}")
 
 
-def run_oracle_checks(scenario: Scenario | None = None, seed: int = 0, verbose=True):
-    """Run every check; returns (all_passed, results)."""
+def run_oracle_checks(scenario: Scenario | None = None, seed: int = 0):
+    """Run every check, printing one line each; returns (all_passed, results)."""
     if scenario is None:
         from .harness import load_scenario
 
         scenario = load_scenario("oracle_small")
     checks = [
-        check_codec(seed),
+        check_codec(),
         check_gaussian_oracle(seed),
         check_factorization(scenario, seed),
         check_marginal(scenario, seed),
@@ -336,10 +334,9 @@ def run_oracle_checks(scenario: Scenario | None = None, seed: int = 0, verbose=T
         check_structured_vs_explicit(scenario, seed),
         check_safety_identity(scenario, seed),
         check_sampler_moments(scenario, seed),
-        check_mse_bound_example(seed),
+        check_mse_bound_example(),
     ]
-    if verbose:
-        for c in checks:
-            status = "ok " if c.passed else "FAIL"
-            print(f"[{status}] {c.name}" + (f"  ({c.detail})" if c.detail else ""))
+    for c in checks:
+        status = "ok " if c.passed else "FAIL"
+        print(f"[{status}] {c.name}" + (f"  ({c.detail})" if c.detail else ""))
     return all(c.passed for c in checks), checks

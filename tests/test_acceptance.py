@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import logsumexp
 
+from semgeo import _kernels
 from semgeo.baselines import AnalyticHybridBelief
 from semgeo.belief import HybridBelief, enumerate_labels
 from semgeo.estimators import (
@@ -26,7 +27,8 @@ from semgeo.estimators import (
     rao_blackwell_gap,
     rollout_states,
 )
-from semgeo.harness import ExperimentConfig, load_scenario, run_experiment
+from semgeo.gaussian import GaussianFactorGraph
+from semgeo.harness import ExperimentConfig, load_scenario, resize_scenario, run_experiment
 from semgeo.methods import ExactReference, create_method
 from semgeo.oracles import random_structured_reward
 from semgeo.samplers import (
@@ -390,8 +392,6 @@ def test_c08_accuracy_ordering_and_runtime_scaling(tmp_path):
     )
     # runtime scaling across class counts at three objects
     base = load_scenario("defaults")
-    from semgeo.harness import resize_scenario
-
     cfg_rt = ExperimentConfig.from_dict(
         dict(
             kind="rmse-vs-classes",
@@ -417,6 +417,74 @@ def test_c08_accuracy_ordering_and_runtime_scaling(tmp_path):
         "08 ordering-and-scaling",
         f"rmse {({k: round(v, 4) for k, v in rmse.items()})}, "
         f"wall slopes all-hyp {wall_all:+.2f} vs ours {wall_ours:+.2f}",
+    )
+
+
+def test_c08_operation_counts_scale_with_classes(monkeypatch):
+    """c08's scaling claim counted rather than timed, so load cannot move
+    it: Cholesky factorizations (misses of a graph's cached factor) and
+    class-table cells (samples x objects x classes), at 3 objects and 2, 4
+    and 8 classes.  The methods run by hand, not through the harness, so
+    the reference's exact belief stays out of the counts."""
+    counts = {"chol": 0, "cells": 0}
+    chol = GaussianFactorGraph._chol
+    class_log_tables = _kernels.class_log_tables
+
+    def counted_chol(graph):
+        counts["chol"] += "chol" not in graph._cache
+        return chol(graph)
+
+    def counted_tables(*args):
+        out = class_log_tables(*args)
+        counts["cells"] += out.size
+        return out
+
+    monkeypatch.setattr(GaussianFactorGraph, "_chol", counted_chol)
+    monkeypatch.setattr(_kernels, "class_log_tables", counted_tables)
+
+    def phase(fn):
+        counts.update(chol=0, cells=0)
+        fn()
+        return counts["chol"], counts["cells"]
+
+    base = resize_scenario(load_scenario("defaults"), n_objects=3)
+    classes = (2, 4, 8)
+    seen = {}
+    for n_cls in classes:
+        sc = resize_scenario(base, n_classes=n_cls)
+        streams = trial_streams(1109, 0)
+        _, history = simulate(sc, 4, streams.world, streams.noise)
+        for tag in ("theoretical-all-hyp", "mcmc-ours"):
+            method = create_method(tag, sc)
+            rng = streams.sampler
+
+            def updates():
+                for action, batch in zip(history.actions, history.batches):
+                    method.update(action, batch, rng)
+
+            update = phase(updates)
+            query = phase(lambda: method.estimate(OpenLoopPlan(sc.actions[4:10]), 200, rng))
+            seen[tag, n_cls] = (update[0], query[0], update[1] + query[1])
+    # (factorizations in the updates, in the query, class-table cells)
+    expected = {
+        ("theoretical-all-hyp", 2): (32, 0, 0),
+        ("theoretical-all-hyp", 4): (256, 0, 0),
+        ("theoretical-all-hyp", 8): (2048, 0, 0),
+        ("mcmc-ours", 2): (0, 1, 11904),
+        ("mcmc-ours", 4): (0, 1, 23808),
+        ("mcmc-ours", 8): (0, 1, 47616),
+    }
+
+    def slope(tag, i):
+        ys = [seen[tag, c][i] for c in classes]
+        return float(np.polyfit(np.log(classes), np.log(ys), 1)[0])
+
+    report(
+        seen == expected,
+        "08 count-scaling",
+        f"all-hyp factorization slope {slope('theoretical-all-hyp', 0):+.2f}, "
+        f"ours per-query factorization slope {slope('mcmc-ours', 1):+.2f}, "
+        f"ours class-cell slope {slope('mcmc-ours', 2):+.2f}; counts {seen}",
     )
 
 

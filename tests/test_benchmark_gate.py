@@ -5,7 +5,8 @@ default seed and pass the tracer's self-check; its untraced run on a seed
 the digests do not pin must pass the invariants; perfbench's own self-test
 must pass.  The scripts run from the repository root and only read
 perfbench/ (their outputs go to the ignored .bench_out/).  The tracer's
-contract with the method classes is checked in process.
+contract with the method classes, and its reach into every method's draw,
+are checked in process.
 """
 
 import importlib.util
@@ -14,8 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from semgeo.estimators import OpenLoopPlan
 from semgeo.harness import ExperimentConfig, run_experiment
 from semgeo.methods import METHOD_TAGS, ExactReference, create_method
 
@@ -68,6 +71,44 @@ def test_tracer_tells_the_reference_apart(oracle_small):
     assert tracing.is_reference(ExactReference(oracle_small))
     for tag in METHOD_TAGS:
         assert not tracing.is_reference(create_method(tag, oracle_small))
+
+
+# layers each method's update and query must reach, beside its own span
+DRAW_LAYERS = {
+    "mcmc-ours": ("samplers.mh_sample", "estimators.estimate_structured"),
+    "snis-ours": ("samplers.snis_sample", "estimators.estimate_structured"),
+    "theoretical-all-hyp": ("baselines.analytic.sample", "estimators.estimate_explicit_c"),
+    "theoretical-pruned": ("baselines.analytic.sample", "estimators.estimate_explicit_c"),
+    "gs-map": ("estimators.estimate_sampled_xc",),
+    "pf-all-hyp": ("baselines.pf.update", "estimators.estimate_sampled_xc"),
+    "pf-pruned": ("baselines.pf.update", "estimators.estimate_sampled_xc"),
+    "reference": ("baselines.analytic.sample", "estimators.estimate_structured"),
+}
+
+
+@pytest.mark.parametrize("tag", [*METHOD_TAGS, "reference"])
+def test_tracer_reaches_every_draw(tag, oracle_small, seeded_history):
+    """A sampler or estimator the methods reach under a name the tracer
+    cannot rebind would drop out of the per-layer metrics unnoticed."""
+    _, history, _, _, _ = seeded_history
+    tracing = load_tracing()
+    if tag == "reference":
+        method = ExactReference(oracle_small)
+    else:
+        method = create_method(tag, oracle_small)
+    rng = np.random.default_rng(5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for action, batch in zip(history.actions[:2], history.batches[:2]):
+            method.update(action, batch, rng)
+        method.estimate(OpenLoopPlan(oracle_small.actions[2:5]), 50, rng)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layers()
+    own = "harness.reference.estimate" if tag == "reference" else f"methods.{tag}.estimate"
+    for layer in (own, *DRAW_LAYERS[tag]):
+        assert layers.get(layer, {}).get("calls", 0) > 0, layer
 
 
 @pytest.mark.parametrize(

@@ -127,10 +127,8 @@ class TestEstimatorAgreement:
         rollout = rollout_states(sset, plan, oracle_small, streams.sampler)
         for _ in range(4):
             reward = random_structured_reward(oracle_small, streams.sampler)
-            a = estimate_structured(sset, rollout, reward, oracle_small, probs, plan)
-            b = estimate_explicit_c(
-                sset, rollout, reward, oracle_small, class_probs=probs, plan=plan
-            )
+            a = estimate_structured(sset, rollout, reward, oracle_small, probs)
+            b = estimate_explicit_c(sset, rollout, reward, oracle_small, class_probs=probs)
             np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
             np.testing.assert_allclose(a.std_error, b.std_error, rtol=1e-9)
 
@@ -266,10 +264,10 @@ class TestGuards:
         joint = np.full((2, len(labels_enum)), 1.0 / len(labels_enum))
         rep = estimate_explicit_c(
             sset, rollout, safety_reward(sc), sc,
-            joint_probs=joint, labels_enum=labels_enum, plan=plan,
+            joint_probs=joint, labels_enum=labels_enum,
         )
         want = estimate_structured(
-            sset, rollout, safety_reward(sc), sc, np.full((2, 14, 2), 0.5), plan
+            sset, rollout, safety_reward(sc), sc, np.full((2, 14, 2), 0.5)
         )
         assert len(labels_enum) == 16384
         assert 0.0 < rep.value < 1.0
@@ -284,7 +282,7 @@ class TestSafety:
         plan = OpenLoopPlan([[2.0, 0.0], [2.0, 0.0]])  # passes 0.5 under the object
         rollout = rollout_states(sset, plan, sc, rng)
         probs = np.tile([0.7, 0.3], (64, 1, 1))
-        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
+        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         np.testing.assert_allclose(est.value, 0.7, atol=1e-9)
 
     def test_factorizes_over_objects(self, rng):
@@ -296,7 +294,7 @@ class TestSafety:
         probs = np.tile(
             np.array([[0.7, 0.3], [0.9, 0.1]]), (64, 1, 1)
         )
-        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
+        est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         np.testing.assert_allclose(est.value, 0.7 * 0.9, atol=1e-9)
 
     def test_empty_plan_is_safe(self, rng):
@@ -319,7 +317,7 @@ class TestSafety:
             sc = Scenario.from_dict(oracle_small.to_dict())
             sc.unsafe_radius = oracle_small.unsafe_radius * scale
             values.append(
-                estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan).value
+                estimate_structured(sset, rollout, safety_reward(sc), sc, probs).value
             )
         assert values[0] >= values[1] >= values[2]
         assert all(0.0 <= v <= 1.0 for v in values)

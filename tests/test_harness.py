@@ -32,7 +32,7 @@ from semgeo.harness import (
     resize_scenario,
     run_experiment,
 )
-from semgeo.methods import ExactReference, _Method, _TheoreticalMethod, create_method
+from semgeo.methods import ExactReference, _Method, create_method
 from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
 
 
@@ -561,7 +561,7 @@ class TestSharedReference:
         estimate = _Method.estimate
 
         def recorded(method, plan, n_samples, rng):
-            if type(method) is _TheoreticalMethod:
+            if method.tag == "theoretical-all-hyp":
                 seen.append(method.belief._log_w is None)
             return estimate(method, plan, n_samples, rng)
 

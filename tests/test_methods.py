@@ -7,6 +7,8 @@ estimators with the exhaustive reference.
 """
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +135,23 @@ class TestSharedContract:
             assert rng.bit_generator.state == expected.bit_generator.state
             assert drawn[-1] is drawn[-2]
         assert len({id(sset) for sset in drawn}) == len(history.batches)
+
+    @pytest.mark.parametrize("tag", [*METHOD_TAGS, "reference"])
+    def test_dropped_method_is_freed_at_once(self, tag, oracle_small, seeded_history):
+        """A method and its cached draws go with its last reference, not
+        at the next full collection: a reference cycle through a cached
+        report would keep every finished trial's draws alive, the harness
+        reference's 100k-sample sets among them."""
+        _, history, _, _, _ = seeded_history
+        method, rng = advanced(tag, oracle_small, history)
+        method.estimate(PLAN, 60, rng)
+        alive = weakref.ref(method)
+        gc.disable()
+        try:
+            del method
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_gs_map_builds_one_point_set_per_step(self, oracle_small, seeded_history, monkeypatch):
         _, history, _, _, _ = seeded_history

@@ -283,7 +283,7 @@ class TestEstimates:
         for obj in range(sc.n_objects):
             acc = acc * np.einsum("ic,ic->i", probs[:, obj, :], table[:, obj, :])
         expect = _weighted_report(acc, sset)
-        got = estimate_structured(sset, rollout, reward, sc, probs, plan)
+        got = estimate_structured(sset, rollout, reward, sc, probs)
         assert (got.value, got.std_error) == (expect.value, expect.std_error)
 
         labels = enumerate_labels(3, 8)
@@ -293,7 +293,7 @@ class TestEstimates:
             joint *= probs[:, obj, labels[:, obj]]
             vals *= table[:, obj][:, labels[:, obj]]
         expect = _weighted_report(np.einsum("ih,ih->i", joint, vals), sset)
-        got = estimate_explicit_c(sset, rollout, reward, sc, class_probs=probs, plan=plan)
+        got = estimate_explicit_c(sset, rollout, reward, sc, class_probs=probs)
         assert (got.value, got.std_error) == (expect.value, expect.std_error)
 
 

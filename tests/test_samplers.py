@@ -223,7 +223,7 @@ class TestHugeHypothesisSpace:
         sset = mh_sample(wide_belief, 200, rng)
         rollout = rollout_states(sset, plan, sc, rng)
         probs = wide_belief.class_posterior_given_state(sset.samples)
-        rep = estimate_structured(sset, rollout, safety_reward(sc), sc, probs, plan)
+        rep = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         assert 0.0 <= rep.value <= 1.0
         # the enumerating route must refuse rather than attempt 2**30 terms
         with pytest.raises(ValueError, match="max_hypotheses"):
