@@ -26,8 +26,6 @@ from . import _kernels
 from .gaussian import GaussianFactorGraph, StackedIndex
 from .scenario import ObservationBatch, Scenario, ScenarioError
 
-_PHI_CHUNK = 65536
-
 # hypothesis indices are kept representable as signed 64-bit
 CODEC_LIMIT = 2**63
 
@@ -185,12 +183,7 @@ class HybridBelief:
 
     def log_phi(self, samples: np.ndarray) -> np.ndarray:
         """log phi(X) = sum_n logsumexp_c of the class table, per sample."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        parts = []
-        for lo in range(0, len(samples), _PHI_CHUNK):
-            tables = self.class_log_tables(samples[lo : lo + _PHI_CHUNK])
-            parts.append(logsumexp(tables, axis=2).sum(axis=1))
-        return np.concatenate(parts)
+        return logsumexp(self.class_log_tables(samples), axis=2).sum(axis=1)
 
     def log_unnormalized_marginal(self, samples: np.ndarray) -> np.ndarray:
         """log of b_g[X] * phi(X), the unnormalized continuous marginal."""

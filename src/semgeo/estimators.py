@@ -9,8 +9,11 @@ For such rewards the expectation over the joint belief reduces, per state
 sample, to products of per-object class sums against the factored
 conditional b[c_n | X].  That path costs O(n_samples * terms * n_classes)
 per object, while the brute-force route sums over every joint hypothesis.
-Both are implemented; they agree exactly on identical samples, and the
-brute-force route is guarded by a hypothesis-count limit.
+Both are implemented and agree exactly on identical samples.  In code a
+term is its objects and one (n_samples, n_objects, n_classes) table of
+f_{j,n}(c, X) per sample, computed once per term and estimate.  The
+brute-force route sums the joint it is handed; the hypothesis-count guard
+sits where hypotheses are enumerated, in belief.enumerate_labels.
 
 Objects absent from every term are marginalized automatically, which is only
 correct when each conditional row sums to one; the structured estimator
@@ -25,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .belief import enumerate_labels
-from .gaussian import StackedIndex
 from .samplers import WeightedStateSet
 from .scenario import Scenario
 
@@ -85,26 +86,16 @@ def rollout_states(
     return planes
 
 
-@dataclass
-class RewardContext:
-    """Everything a reward element may inspect; carries a shared cache."""
-
-    samples: np.ndarray
-    index: StackedIndex
-    rollout: np.ndarray  # (horizon, 2, n) planes from rollout_states
-    scenario: Scenario
-    cache: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class RewardTerm:
-    """One product term: prod_{n in objects} element(n, ctx)[:, c_n].
+    """One product term: prod_{n in objects} table[:, n, c_n].
 
-    element(n, ctx) returns an (n_samples, n_classes) array.
+    table(state_set, rollout, scenario) returns a C-contiguous
+    (n_samples, n_objects, n_classes) array of the term's factors.
     """
 
     objects: tuple
-    element: object
+    table: object
 
 
 @dataclass(frozen=True)
@@ -122,15 +113,6 @@ class EstimateReport:
     n_samples: int
     ess: float
     extras: dict = field(default_factory=dict)
-
-
-def make_context(state_set, rollout, scenario) -> RewardContext:
-    return RewardContext(
-        samples=state_set.samples,
-        index=state_set.index,
-        rollout=rollout,
-        scenario=scenario,
-    )
 
 
 def _weighted_report(values, state_set) -> EstimateReport:
@@ -161,44 +143,56 @@ def _check_rows_normalized(class_probs: np.ndarray) -> None:
 # per-sample reward values under the three conditioning modes
 
 
-def reward_at_labels(reward, ctx, labels) -> np.ndarray:
+def reward_at_labels(reward, state_set, rollout, scenario, labels) -> np.ndarray:
     """(n,) reward evaluated at one sampled class assignment per sample."""
-    n = len(ctx.samples)
+    n = len(state_set)
     rows = np.arange(n)
     total = np.zeros(n)
     for term in reward.terms:
+        table = term.table(state_set, rollout, scenario)
         acc = np.ones(n)
         for obj in term.objects:
-            acc = acc * term.element(obj, ctx)[rows, labels[:, obj]]
+            acc = acc * table[rows, obj, labels[:, obj]]
         total += acc
     return total
 
 
-def structured_values(reward, ctx, class_probs) -> np.ndarray:
+def structured_values(reward, state_set, rollout, scenario, class_probs) -> np.ndarray:
     """(n,) conditional expectation per sample via per-object class sums."""
-    n = len(ctx.samples)
+    n = len(state_set)
     total = np.zeros(n)
     for term in reward.terms:
+        table = term.table(state_set, rollout, scenario)
         acc = np.ones(n)
         for obj in term.objects:
-            fac = term.element(obj, ctx)
-            acc = acc * np.einsum("ic,ic->i", class_probs[:, obj, :], fac)
+            acc = acc * np.einsum("ic,ic->i", class_probs[:, obj, :], table[:, obj, :])
         total += acc
     return total
 
 
-def explicit_values(reward, ctx, labels_enum) -> np.ndarray:
+def explicit_values(reward, state_set, rollout, scenario, labels_enum) -> np.ndarray:
     """(n, n_hypotheses) reward at every joint hypothesis for every sample."""
-    n = len(ctx.samples)
+    n = len(state_set)
     h = len(labels_enum)
     total = np.zeros((n, h))
     for term in reward.terms:
+        table = term.table(state_set, rollout, scenario)
         acc = np.ones((n, h))
         for obj in term.objects:
-            fac = term.element(obj, ctx)
-            acc *= fac[:, labels_enum[:, obj]]
+            acc *= table[:, obj, labels_enum[:, obj]]
         total += acc
     return total
+
+
+def factored_joint(class_probs, labels_enum) -> np.ndarray:
+    """(n, n_hypotheses) joint as the per-object product of the factored
+    conditional, at the enumerated hypotheses."""
+    class_probs = np.asarray(class_probs, dtype=float)
+    _check_rows_normalized(class_probs)
+    joint = np.ones((len(class_probs), len(labels_enum)))
+    for obj in range(class_probs.shape[1]):
+        joint *= class_probs[:, obj, labels_enum[:, obj]]
+    return joint
 
 
 # ----------------------------------------------------------------------
@@ -209,76 +203,48 @@ def estimate_sampled_xc(state_set, rollout, reward, scenario) -> EstimateReport:
     """Plain joint-sample estimator: reward at each (X, C) pair."""
     if state_set.labels is None:
         raise ValueError("state_set has no class labels; complete hypotheses first")
-    ctx = make_context(state_set, rollout, scenario)
-    return _weighted_report(reward_at_labels(reward, ctx, state_set.labels), state_set)
+    values = reward_at_labels(reward, state_set, rollout, scenario, state_set.labels)
+    return _weighted_report(values, state_set)
 
 
 def estimate_structured(state_set, rollout, reward, scenario, class_probs) -> EstimateReport:
     """Conditional-expectation estimator using factored per-object sums."""
     class_probs = np.asarray(class_probs, dtype=float)
     _check_rows_normalized(class_probs)
-    ctx = make_context(state_set, rollout, scenario)
-    return _weighted_report(structured_values(reward, ctx, class_probs), state_set)
+    values = structured_values(reward, state_set, rollout, scenario, class_probs)
+    return _weighted_report(values, state_set)
 
 
 def estimate_explicit_c(
-    state_set,
-    rollout,
-    reward,
-    scenario,
-    class_probs=None,
-    joint_probs=None,
-    labels_enum=None,
-    max_hypotheses: int = 10_000,
+    state_set, rollout, reward, scenario, joint_probs, labels_enum
 ) -> EstimateReport:
     """Brute-force conditional expectation over every joint hypothesis.
 
-    Either factored class_probs (joint built as the per-object product, its
-    hypotheses enumerated under the max_hypotheses guard; pass a larger value
-    deliberately to run bigger spaces) or an explicit (n, n_hypotheses)
-    joint_probs with its labels_enum, already enumerated by the caller.
+    joint_probs is the (n, n_hypotheses) conditional joint at the caller's
+    enumerated labels_enum; factored_joint builds it from a factored
+    conditional.
     """
-    if joint_probs is None and class_probs is None:
-        raise ValueError("need class_probs or joint_probs")
-    if joint_probs is not None and labels_enum is None:
-        raise ValueError("joint_probs requires labels_enum")
-    ctx = make_context(state_set, rollout, scenario)
-    if joint_probs is None:
-        labels_enum = enumerate_labels(scenario.n_objects, scenario.n_classes, max_hypotheses)
-        class_probs = np.asarray(class_probs, dtype=float)
-        _check_rows_normalized(class_probs)
-        joint_probs = np.ones((len(state_set), len(labels_enum)))
-        for obj in range(scenario.n_objects):
-            joint_probs *= class_probs[:, obj, labels_enum[:, obj]]
-    elif not _sums_near_one(joint_probs.sum(axis=1)):
+    if not _sums_near_one(joint_probs.sum(axis=1)):
         raise ValueError("joint_probs rows must sum to 1")
-    values = np.einsum("ih,ih->i", joint_probs, explicit_values(reward, ctx, labels_enum))
-    return _weighted_report(values, state_set)
+    values = explicit_values(reward, state_set, rollout, scenario, labels_enum)
+    return _weighted_report(np.einsum("ih,ih->i", joint_probs, values), state_set)
 
 
 # ----------------------------------------------------------------------
 # safety and cost
 
 
-def _safety_elements(ctx: RewardContext) -> np.ndarray:
-    if "safety_elements" not in ctx.cache:
-        object_xy = ctx.index.object_xy(ctx.samples)
-        ctx.cache["safety_elements"] = _kernels.safety_products(
-            ctx.rollout, object_xy, ctx.scenario.unsafe_radius
-        )
-    return ctx.cache["safety_elements"]
+def _safety_table(state_set, rollout, scenario) -> np.ndarray:
+    object_xy = state_set.index.object_xy(state_set.samples)
+    return _kernels.safety_products(rollout, object_xy, scenario.unsafe_radius)
 
 
 def safety_reward(scenario: Scenario) -> StructuredReward:
     """Probability-of-safety reward: one multiplicative term over all objects,
     the per-object factor being the indicator that every future pose stays
     outside that object's class-dependent unsafe disk."""
-
-    def element(n, ctx):
-        return _safety_elements(ctx)[:, n, :]
-
     return StructuredReward(
-        terms=[RewardTerm(objects=tuple(range(scenario.n_objects)), element=element)]
+        terms=[RewardTerm(objects=tuple(range(scenario.n_objects)), table=_safety_table)]
     )
 
 
@@ -406,9 +372,8 @@ def rao_blackwell_gap(
     # predicted gap: mean conditional variance of the reward, over the state
     pred = belief.sample(predict_samples, streams.sampler)
     pred_roll = rollout_states(pred, plan, scenario, streams.sampler)
-    ctx = make_context(pred, pred_roll, scenario)
     joint = belief.conditional_joint_probs(pred.samples)
-    values = explicit_values(reward, ctx, belief.labels_enum)
+    values = explicit_values(reward, pred, pred_roll, scenario, belief.labels_enum)
     cond_mean = np.einsum("ih,ih->i", joint, values)
     cond_second = np.einsum("ih,ih->i", joint, values**2)
     cond_var = cond_second - cond_mean**2

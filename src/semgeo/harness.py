@@ -4,9 +4,11 @@ The four estimation kinds run one trial loop, `_estimation_trial`: they
 differ only in where they query (after every step for psafe-vs-time, after
 the last step for the sweeps), in the sample counts queried (the sweep's for
 rmse-vs-samples) and in the scenario (resized per value for the class and
-object sweeps).  A row's wall_ms is its p_safe query alone; on a resized
-scenario it also counts that method's summed update time, since update cost
-is what grows with the class and object counts.
+object sweeps).  A row's wall_ms times the method's whole estimate call:
+the p_safe the row reports and the expected cost it does not (for pf-* that
+cost makes its own mixture draw and rollout).  On a resized scenario it also
+counts that method's summed update time, since update cost is what grows
+with the class and object counts.
 
 Fairness contract: within a trial every method consumes the byte-identical
 action/observation stream, generated once from the trial's noise substream;
@@ -67,13 +69,6 @@ PLANNING_COLUMNS = (
 )
 
 
-# PlannerConfig fields a config's `planner` object may set; the harness fills
-# n_samples and n_particles from the top level itself.
-_PLANNER_KEYS = tuple(
-    f.name for f in fields(PlannerConfig) if f.name not in ("n_samples", "n_particles")
-)
-
-
 # integer config fields and their smallest valid values (None: any integer)
 _INT_MINIMA = {
     "trials": 1,
@@ -103,6 +98,23 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the PlannerConfig fields a config's `planner` object may set (the harness
+# fills n_samples and n_particles from the top level), each with its rule
+_PLANNER_RULES = {
+    "n_nodes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "k_nearest": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "n_candidates": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "max_step": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "safety_threshold": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
+    "goal_radius": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "max_steps": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+}
 
 
 @dataclass
@@ -223,12 +235,16 @@ class ExperimentConfig:
                 )
         if not isinstance(self.planner, dict):
             raise ConfigError("planner must be an object of PlannerConfig fields")
-        unknown = sorted(set(self.planner) - set(_PLANNER_KEYS))
+        unknown = sorted(set(self.planner) - set(_PLANNER_RULES))
         if unknown:
             raise ConfigError(
-                f"unknown planner keys {unknown}; known: {list(_PLANNER_KEYS)} "
+                f"unknown planner keys {unknown}; known: {list(_PLANNER_RULES)} "
                 "(n_samples and n_particles are set from the top level)"
             )
+        for name, value in self.planner.items():
+            rule, valid = _PLANNER_RULES[name]
+            if not valid(value):
+                raise ConfigError(f"planner.{name} must be {rule}, got {value!r}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -278,7 +294,8 @@ def resize_scenario(
 
 
 def _timed_row(method, plan, n_samples: int, rng, ref_val: float, extra_s=0.0, **where):
-    """One metric row: a p_safe query timed alone, plus extra_s seconds."""
+    """One metric row: p_safe from one timed method.estimate call (which
+    also computes the unreported expected cost), plus extra_s seconds."""
     t0 = time.perf_counter()
     est = method.estimate(plan, n_samples, rng)["p_safe"]
     wall = (time.perf_counter() - t0 + extra_s) * 1e3
@@ -302,8 +319,9 @@ def _estimation_trial(
     then the untimed reference (which may follow one of them).  Queries run
     after every step for psafe-vs-time and once after the last step for the
     sweeps: the reference value first, then one row per (sample count,
-    method).  A row's wall_ms is its query alone, plus the method's summed
-    update time when the sweep resizes the scenario."""
+    method).  A row's wall_ms is its method.estimate call, p_safe and the
+    unreported cost together, plus the method's summed update time when the
+    sweep resizes the scenario."""
     streams = trial_streams(cfg.seed, trial)
     _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     rng = streams.sampler

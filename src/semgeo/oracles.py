@@ -23,6 +23,7 @@ from .estimators import (
     StructuredReward,
     estimate_explicit_c,
     estimate_structured,
+    factored_joint,
     is_mse_lower_bound,
     rollout_states,
 )
@@ -118,7 +119,7 @@ def random_structured_reward(
 ) -> StructuredReward:
     """Random smooth reward in the structured (sum of products) form.
 
-    Elements are pure functions of the sampled object positions, so repeated
+    Tables are pure functions of the sampled object positions, so repeated
     evaluation is reproducible and the explicit and factored estimators see
     identical factor tables.
     """
@@ -131,12 +132,12 @@ def random_structured_reward(
         w = rng.normal(size=(scenario.n_objects, 2))
         phase = rng.normal(size=(scenario.n_objects, scenario.n_classes))
 
-        def element(n, ctx, w=w, phase=phase):
-            xy = ctx.index.object_xy(ctx.samples)[:, n, :]
-            proj = xy @ w[n]
-            return 1.0 + 0.5 * np.sin(proj[:, None] + phase[n][None, :])
+        def table(state_set, rollout, scenario, w=w, phase=phase):
+            xy = state_set.index.object_xy(state_set.samples)  # (n, n_obj, 2)
+            proj = (xy * w).sum(axis=2)
+            return 1.0 + 0.5 * np.sin(proj[:, :, None] + phase[None, :, :])
 
-        terms.append(RewardTerm(objects=objs, element=element))
+        terms.append(RewardTerm(objects=objs, table=table))
     return StructuredReward(terms=terms)
 
 
@@ -256,11 +257,13 @@ def check_structured_vs_explicit(scenario: Scenario, seed: int = 0) -> CheckResu
     probs = hybrid.class_posterior_given_state(samples)
     plan = OpenLoopPlan(scenario.actions[:3])
     rollout = rollout_states(sset, plan, scenario, streams.sampler)
+    labels_enum = enumerate_labels(scenario.n_objects, scenario.n_classes, 10_000)
+    joint = factored_joint(probs, labels_enum)
     worst = 0.0
     for _ in range(5):
         reward = random_structured_reward(scenario, streams.sampler)
         a = estimate_structured(sset, rollout, reward, scenario, probs).value
-        b = estimate_explicit_c(sset, rollout, reward, scenario, class_probs=probs).value
+        b = estimate_explicit_c(sset, rollout, reward, scenario, joint, labels_enum).value
         worst = max(worst, abs(a - b) / max(abs(a), 1.0))
     return _check("structured-vs-explicit", worst < 1e-12, f"max rel dev {worst:.2e}")
 

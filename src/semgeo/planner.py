@@ -78,6 +78,9 @@ def build_roadmap(
 def k_shortest_paths(roadmap: Roadmap, n_paths: int) -> list:
     """Up to n_paths loopless paths source-to-goal, ordered by total length
     (Yen's algorithm)."""
+    # scipy's yen corrupts the heap when asked for fewer than one path
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     _, preds = yen(
         roadmap.edges, roadmap.source, roadmap.goal, n_paths, return_predecessors=True
     )

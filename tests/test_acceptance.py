@@ -24,6 +24,7 @@ from semgeo.estimators import (
     OpenLoopPlan,
     estimate_explicit_c,
     estimate_structured,
+    factored_joint,
     rao_blackwell_gap,
     rollout_states,
 )
@@ -136,8 +137,9 @@ def test_c03_structured_estimator_equals_explicit_and_is_faster():
         rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
         probs = rng.dirichlet(np.ones(n_cls), size=(64, n_obj))
         a = estimate_structured(sset, rollout, reward, sc, probs)
+        labels_enum = enumerate_labels(n_obj, n_cls, 70_000)
         b = estimate_explicit_c(
-            sset, rollout, reward, sc, class_probs=probs, max_hypotheses=70_000
+            sset, rollout, reward, sc, factored_joint(probs, labels_enum), labels_enum
         )
         worst = max(worst, abs(a.value - b.value) / max(1e-12, abs(b.value)))
     # timing at the largest size: 8 objects, 4 classes, 65536 hypotheses
@@ -153,8 +155,9 @@ def test_c03_structured_estimator_equals_explicit_and_is_faster():
         estimate_structured(sset, rollout, reward, sc, probs)
         t_struct = min(t_struct, time.perf_counter() - t0)
         t0 = time.perf_counter()
+        labels_enum = enumerate_labels(8, 4, 70_000)
         estimate_explicit_c(
-            sset, rollout, reward, sc, class_probs=probs, max_hypotheses=70_000
+            sset, rollout, reward, sc, factored_joint(probs, labels_enum), labels_enum
         )
         t_expl = min(t_expl, time.perf_counter() - t0)
     ratio = t_expl / t_struct

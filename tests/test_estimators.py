@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semgeo import _kernels
 from semgeo.belief import enumerate_labels
 from semgeo.estimators import (
     OpenLoopPlan,
@@ -11,8 +12,8 @@ from semgeo.estimators import (
     estimate_sampled_xc,
     estimate_structured,
     expected_cost,
+    factored_joint,
     is_mse_lower_bound,
-    make_context,
     rao_blackwell_gap,
     reward_at_labels,
     rollout_states,
@@ -125,10 +126,12 @@ class TestEstimatorAgreement:
         probs = hybrid.class_posterior_given_state(samples)
         plan = OpenLoopPlan(oracle_small.actions[:3])
         rollout = rollout_states(sset, plan, oracle_small, streams.sampler)
+        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        joint = factored_joint(probs, labels_enum)
         for _ in range(4):
             reward = random_structured_reward(oracle_small, streams.sampler)
             a = estimate_structured(sset, rollout, reward, oracle_small, probs)
-            b = estimate_explicit_c(sset, rollout, reward, oracle_small, class_probs=probs)
+            b = estimate_explicit_c(sset, rollout, reward, oracle_small, joint, labels_enum)
             np.testing.assert_allclose(a.value, b.value, rtol=1e-12)
             np.testing.assert_allclose(a.std_error, b.std_error, rtol=1e-9)
 
@@ -161,8 +164,7 @@ class TestEstimatorAgreement:
             sset, rollout, reward, oracle_small,
             joint_probs=joint, labels_enum=labels_enum,
         )
-        ctx = make_context(sset, rollout, oracle_small)
-        pointwise = reward_at_labels(reward, ctx, labels_enum[labels])
+        pointwise = reward_at_labels(reward, sset, rollout, oracle_small, labels_enum[labels])
         np.testing.assert_allclose(via_joint.value, pointwise.mean(), rtol=1e-12)
 
     def test_requires_labels_for_sampled_xc(self, seeded_history, oracle_small):
@@ -219,35 +221,14 @@ class TestGuards:
             with pytest.raises(ValueError, match="rows must sum to 1"):
                 estimate(offset)
 
-    def test_hypothesis_guard(self, seeded_history, oracle_small):
-        _, _, hybrid, _, streams = seeded_history
-        samples = hybrid.geo.sample(streams.sampler, 4)
-        sset = WeightedStateSet(
-            samples=samples, log_weights=np.zeros(4), index=hybrid.index
-        )
-        probs = hybrid.class_posterior_given_state(samples)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), oracle_small, streams.sampler)
-        reward = random_structured_reward(oracle_small, streams.sampler)
+    def test_hypothesis_guard(self, oracle_small):
+        """The explicit route's guard is the enumeration it needs."""
         with pytest.raises(ValueError, match="exceed the guard 3.*max_hypotheses"):
-            estimate_explicit_c(
-                sset, rollout, reward, oracle_small,
-                class_probs=probs, max_hypotheses=3,
-            )
-        with pytest.raises(ValueError, match="labels_enum"):
-            estimate_explicit_c(
-                sset, rollout, reward, oracle_small,
-                joint_probs=np.full((4, 4), 0.25),
-            )
+            enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 3)
         # 4**40 > 2**63: still the guard's ValueError, not a CodecRangeError
-        objects = [[2.0 + j, 0.0] for j in range(40)]
-        wide = point_scenario(40, 4, [0.0, 0.1, 0.2, 0.3], objects)
-        sset = fixed_state_set([0.0, 0.0], objects)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), wide, streams.sampler)
+        wide = point_scenario(40, 4, [0.0, 0.1, 0.2, 0.3], [[2.0 + j, 0.0] for j in range(40)])
         with pytest.raises(ValueError, match=f"{4**40} hypotheses.*max_hypotheses"):
-            estimate_explicit_c(
-                sset, rollout, lambda labels: 1.0, wide,
-                class_probs=np.full((len(sset), 40, 4), 0.25),
-            )
+            enumerate_labels(wide.n_objects, wide.n_classes, 10_000)
 
     def test_enumerated_joint_is_not_guarded(self, rng):
         """The guard sits where hypotheses are enumerated: a joint the caller
@@ -321,6 +302,34 @@ class TestSafety:
             )
         assert values[0] >= values[1] >= values[2]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    @pytest.mark.parametrize("route", ["sampled_xc", "structured", "explicit"])
+    def test_kernel_runs_once_per_term(self, seeded_history, oracle_small, monkeypatch, route):
+        """Each estimate computes safety's one table once, not once per object."""
+        _, _, hybrid, _, streams = seeded_history
+        sset = complete_hypotheses(hybrid, snis_sample(hybrid, 64, streams.sampler), streams.sampler)
+        probs = hybrid.class_posterior_given_state(sset.samples)
+        plan = OpenLoopPlan(oracle_small.actions[:3])
+        rollout = rollout_states(sset, plan, oracle_small, streams.sampler)
+        reward = safety_reward(oracle_small)
+        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        joint = factored_joint(probs, labels_enum)
+        assert oracle_small.n_objects > 1
+        calls = []
+        kernel = _kernels.safety_products
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "safety_products", counted)
+        if route == "sampled_xc":
+            estimate_sampled_xc(sset, rollout, reward, oracle_small)
+        elif route == "structured":
+            estimate_structured(sset, rollout, reward, oracle_small, probs)
+        else:
+            estimate_explicit_c(sset, rollout, reward, oracle_small, joint, labels_enum)
+        assert len(calls) == 1
 
 
 class TestReport:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,6 +34,7 @@ from semgeo.harness import (
     run_experiment,
 )
 from semgeo.methods import ExactReference, _Method, create_method
+from semgeo.planner import PlannerConfig
 from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
 
 
@@ -127,10 +129,53 @@ class TestExperimentConfig:
             "goal_radius": 1.0,
             "max_steps": 40,
         }
+        settable = {f.name for f in fields(PlannerConfig)} - {"n_samples", "n_particles"}
+        assert set(planner) == settable
         cfg = ExperimentConfig.from_dict(
             self.base(kind="planning-table", planner=planner)
         )
         assert cfg.planner == planner
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_nodes", -5),
+            ("n_nodes", 30.0),
+            ("k_nearest", 0),
+            ("k_nearest", True),
+            ("n_candidates", 0),
+            ("n_candidates", False),
+            ("max_steps", 1.5),
+            ("max_steps", -1),
+            ("max_step", 0),
+            ("max_step", True),
+            ("safety_threshold", "high"),
+            ("safety_threshold", 1.5),
+            ("safety_threshold", -0.1),
+            ("goal_radius", -0.5),
+            ("goal_radius", None),
+        ],
+    )
+    def test_invalid_planner_value(self, key, value):
+        with pytest.raises(ConfigError, match=rf"planner\.{key} must be"):
+            ExperimentConfig.from_dict(self.base(kind="planning-table", planner={key: value}))
+
+    def test_planner_bounds_are_valid(self):
+        planner = {
+            "n_nodes": 0,
+            "k_nearest": 1,
+            "n_candidates": 1,
+            "max_step": 1,
+            "safety_threshold": 0,
+            "goal_radius": 0,
+            "max_steps": 0,
+        }
+        cfg = ExperimentConfig.from_dict(self.base(kind="planning-table", planner=planner))
+        assert cfg.planner == planner
+        cfg = ExperimentConfig.from_dict(
+            self.base(kind="planning-table", planner={"safety_threshold": 1})
+        )
+        assert cfg.planner == {"safety_threshold": 1}
 
     def test_invalid_scenario_dict_becomes_config_error(self, oracle_small):
         broken = oracle_small.to_dict()
@@ -684,6 +729,23 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_zero_candidates_exit_2(self, tmp_path, child_env):
+        """n_candidates 0 is refused as a config error before the planner
+        runs (scipy's yen with K=0 corrupts the heap)."""
+        path = tmp_path / "cfg.json"
+        cfg = dict(TINY, kind="planning-table", trials=1, planner={"n_candidates": 0})
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semgeo.cli", "plan", "--config", str(path),
+             "--out", str(tmp_path / "res")],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.returncode == 2
+        assert "planner.n_candidates must be an integer >= 1" in proc.stderr
+        assert not (tmp_path / "res").exists()
 
     def test_module_entry_point(self, child_env):
         proc = subprocess.run(

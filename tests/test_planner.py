@@ -93,6 +93,13 @@ class TestRoadmap:
             lengths.append(sum(rm.edges[a, b] for a, b in zip(path[:-1], path[1:])))
         assert np.all(np.diff(lengths) >= -1e-12)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_k_shortest_paths_needs_one_path(self, rng, n_paths):
+        """Refused before scipy's yen, which corrupts the heap at K < 1."""
+        rm = build_roadmap(open_scenario(), np.array([0.0, 0.0]), QUICK, rng)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            k_shortest_paths(rm, n_paths)
+
     def test_disconnected_goal_yields_no_paths(self):
         # the source (node 0) links to node 2 only; the goal (node 1) has no edge
         rows, cols = np.array([0, 2], dtype=np.int32), np.array([2, 0], dtype=np.int32)

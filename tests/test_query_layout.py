@@ -20,6 +20,7 @@ from semgeo.estimators import (
     estimate_explicit_c,
     estimate_structured,
     expected_cost,
+    factored_joint,
     rollout_states,
     safety_reward,
 )
@@ -293,7 +294,7 @@ class TestEstimates:
             joint *= probs[:, obj, labels[:, obj]]
             vals *= table[:, obj][:, labels[:, obj]]
         expect = _weighted_report(np.einsum("ih,ih->i", joint, vals), sset)
-        got = estimate_explicit_c(sset, rollout, reward, sc, class_probs=probs)
+        got = estimate_explicit_c(sset, rollout, reward, sc, factored_joint(probs, labels), labels)
         assert (got.value, got.std_error) == (expect.value, expect.std_error)
 
 

@@ -209,9 +209,9 @@ class TestHugeHypothesisSpace:
             assert np.all(np.isfinite(sset.log_weights))
 
     def test_safety_estimate_stays_factored(self, wide_belief):
+        from semgeo.belief import enumerate_labels
         from semgeo.estimators import (
             OpenLoopPlan,
-            estimate_explicit_c,
             estimate_structured,
             rollout_states,
             safety_reward,
@@ -225,12 +225,6 @@ class TestHugeHypothesisSpace:
         probs = wide_belief.class_posterior_given_state(sset.samples)
         rep = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         assert 0.0 <= rep.value <= 1.0
-        # the enumerating route must refuse rather than attempt 2**30 terms
-        with pytest.raises(ValueError, match="max_hypotheses"):
-            estimate_explicit_c(
-                sset,
-                rollout,
-                lambda labels: 1.0,
-                sc,
-                class_probs=probs,
-            )
+        # the enumeration the explicit route needs refuses 2**30 terms
+        with pytest.raises(ValueError, match=f"{2**30} hypotheses.*max_hypotheses"):
+            enumerate_labels(sc.n_objects, sc.n_classes, 10_000)
