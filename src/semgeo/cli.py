@@ -90,6 +90,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "oracle-check":
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {args.seed}")
             scenario = None
             if args.config is not None:
                 with open(args.config, encoding="utf-8") as fh:

@@ -129,8 +129,6 @@ class GaussianFactorGraph:
         value = np.asarray(value, dtype=float).reshape(m)
         offset = np.broadcast_to(np.asarray(offset, dtype=float), (m,))
         noise_cov = np.asarray(noise_cov, dtype=float)
-        if noise_cov.shape == ():
-            noise_cov = np.eye(m) * float(noise_cov)
         if a_mat.shape != (m, len(cols)):
             raise ValueError(
                 f"a_mat shape {a_mat.shape} incompatible with {len(cols)} columns"

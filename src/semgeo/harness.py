@@ -1,14 +1,17 @@
 """Experiment harness: config parsing, trial loops, metrics, oracle checks.
 
-The four estimation kinds run one trial loop, `_estimation_trial`: they
-differ only in where they query (after every step for psafe-vs-time, after
-the last step for the sweeps), in the sample counts queried (the sweep's for
-rmse-vs-samples) and in the scenario (resized per value for the class and
-object sweeps).  A row's wall_ms times the method's whole estimate call:
-the p_safe the row reports and the expected cost it does not (for pf-* that
-cost makes its own mixture draw and rollout).  On a resized scenario it also
-counts that method's summed update time, since update cost is what grows
-with the class and object counts.
+Every experiment runs in the calling process, one trial after another in
+config order (for planning tables, trial outer and method inner); a
+config's `workers` must be 1.  The four estimation kinds run one trial
+loop, `_estimation_trial`: they differ only in where they query (after
+every step for psafe-vs-time, after the last step for the sweeps), in the
+sample counts queried (the sweep's for rmse-vs-samples) and in the
+scenario (resized per value for the class and object sweeps).  A row's
+wall_ms times the method's whole estimate call: the p_safe the row
+reports and the expected cost it does not (for pf-* that cost makes its
+own mixture draw and rollout).  On a resized scenario it also counts that
+method's summed update time, since update cost is what grows with the
+class and object counts.
 
 Fairness contract: within a trial every method consumes the byte-identical
 action/observation stream, generated once from the trial's noise substream;
@@ -34,9 +37,7 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import partial
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,7 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     seed: int = 0
     out: str = "results"
-    workers: int = 1
+    workers: int = 1  # only 1 is valid; kept because every summary echoes it
     n_particles: int = 500
     planner: dict = field(default_factory=dict)
 
@@ -207,6 +208,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if low is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1: trials run in one process, got {self.workers}")
         if not self.methods:
             raise ConfigError("methods must name at least one method")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
@@ -245,11 +248,6 @@ class ExperimentConfig:
             rule, valid = _PLANNER_RULES[name]
             if not valid(value):
                 raise ConfigError(f"planner.{name} must be {rule}, got {value!r}")
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["scenario"] = self.scenario.to_dict()
-        return d
 
 
 def resize_scenario(
@@ -312,7 +310,7 @@ def _timed_row(method, plan, n_samples: int, rng, ref_val: float, extra_s=0.0, *
 
 def _estimation_trial(
     cfg: ExperimentConfig, scenario: Scenario, sweep_value, trial: int
-) -> list:
+) -> tuple:
     """One trial of an estimation kind: its rows and its stream hash.
 
     Every step updates the timed methods in config order, each update timed,
@@ -355,68 +353,53 @@ def _estimation_trial(
                         sweep_value=n_s if sample_sweep else sweep_value,
                     )
                 )
-    return [rows, {"trial": trial, "stream_hash": history.stream_hash()}]
-
-
-def _planning_trial(cfg: ExperimentConfig, scenario: Scenario, item) -> list:
-    trial, tag = item
-    pcfg = PlannerConfig(n_samples=cfg.n_samples, n_particles=cfg.n_particles, **cfg.planner)
-    res = run_planning_trial(scenario, tag, trial, cfg.seed, pcfg)
-    return [res]
-
-
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return rows, history.stream_hash()
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
-    """Run one configured experiment; writes rows CSV and summary JSON.
+    """Run one configured experiment in this process, trials in config
+    order; writes rows CSV and summary JSON.
 
     Returns the summary dict (with file paths under "files")."""
     out = Path(out_dir or config.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_dict = config.echo()
-    cfg_dict.pop("scenario")
     summary: dict = {
         "kind": config.kind,
         "seed": config.seed,
         "methods": list(config.methods),
         "kernel_backend": _kernels.backend(),
-        "config": cfg_dict,
+        "config": {f.name: getattr(config, f.name) for f in fields(config) if f.name != "scenario"},
     }
     t_start = time.perf_counter()
     if config.kind == "planning-table":
-        items = [(t, tag) for t in range(config.trials) for tag in config.methods]
-        results = _pmap(
-            partial(_planning_trial, config, config.scenario), items, config.workers
+        pcfg = PlannerConfig(
+            n_samples=config.n_samples, n_particles=config.n_particles, **config.planner
         )
-        plan_rows = [r for res in results for r in res]
-        summary["planning"] = _summarize_planning(plan_rows)
-        summary["wall_s"] = time.perf_counter() - t_start
-        files = emit_planning(plan_rows, summary, out, prefix=config.kind)
-        summary["files"] = files
-        return summary
-    resized = config.kind in _RESIZE_KINDS
-    param = _SWEEP_KEYS.get(config.kind)
-    rows = []
-    hashes = {}
-    for value in config.sweep[param] if resized else [""]:
-        scen = resize_scenario(config.scenario, **{param: value}) if resized else config.scenario
-        results = _pmap(
-            partial(_estimation_trial, config, scen, value),
-            range(config.trials),
-            config.workers,
-        )
-        rows.extend(r for res in results for r in res[0])
-        hashes[str(value)] = {str(res[1]["trial"]): res[1]["stream_hash"] for res in results}
-    summary["stream_hashes"] = hashes if resized else hashes[""]
-    summary.update(_summarize_metrics(rows))
+        rows = [
+            run_planning_trial(config.scenario, tag, trial, config.seed, pcfg)
+            for trial in range(config.trials)
+            for tag in config.methods
+        ]
+        summary["planning"] = _summarize_planning(rows)
+        emit = emit_planning
+    else:
+        resized = config.kind in _RESIZE_KINDS
+        param = _SWEEP_KEYS.get(config.kind)
+        rows, hashes = [], {}
+        for value in config.sweep[param] if resized else [""]:
+            scen = config.scenario
+            if resized:
+                scen = resize_scenario(scen, **{param: value})
+            per_trial = {}
+            for trial in range(config.trials):
+                trial_rows, per_trial[str(trial)] = _estimation_trial(config, scen, value, trial)
+                rows.extend(trial_rows)
+            hashes[str(value)] = per_trial
+        summary["stream_hashes"] = hashes if resized else hashes[""]
+        summary.update(_summarize_metrics(rows))
+        emit = emit_plotdata
     summary["wall_s"] = time.perf_counter() - t_start
-    files = emit_plotdata(rows, summary, out, prefix=config.kind)
-    summary["files"] = files
+    summary["files"] = emit(rows, summary, out, prefix=config.kind)
     return summary
 
 
@@ -442,31 +425,21 @@ def _summarize_metrics(rows: list) -> dict:
                 pts.setdefault(float(row.sweep_value), []).append(row)
         if len(pts) >= 2:
             xs = np.log(sorted(pts))
-            rmse = np.array(
-                [
-                    math.sqrt(np.mean([r.squared_error for r in pts[v]]))
-                    for v in sorted(pts)
-                ]
-            )
-            wall = np.array(
-                [np.mean([r.wall_ms for r in pts[v]]) for v in sorted(pts)]
-            )
-            with np.errstate(divide="ignore"):
-                log_rmse = np.log(rmse)
-                log_wall = np.log(wall)
+            groups = [pts[v] for v in sorted(pts)]
             slopes[method] = {
-                "rmse_slope": (
-                    float(np.polyfit(xs, log_rmse, 1)[0])
-                    if np.all(np.isfinite(log_rmse))
-                    else None
+                "rmse_slope": _loglog_slope(
+                    xs, [math.sqrt(np.mean([r.squared_error for r in g])) for g in groups]
                 ),
-                "wall_slope": (
-                    float(np.polyfit(xs, log_wall, 1)[0])
-                    if np.all(np.isfinite(log_wall))
-                    else None
-                ),
+                "wall_slope": _loglog_slope(xs, [np.mean([r.wall_ms for r in g]) for g in groups]),
             }
     return {"groups": per_group, "loglog_slopes": slopes}
+
+
+def _loglog_slope(log_xs, ys: list):
+    """Least-squares slope of log(ys) against log_xs; None if some y is 0."""
+    with np.errstate(divide="ignore"):
+        log_ys = np.log(ys)
+    return float(np.polyfit(log_xs, log_ys, 1)[0]) if np.all(np.isfinite(log_ys)) else None
 
 
 def _summarize_planning(rows: list) -> dict:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -49,6 +51,19 @@ def _as_cov(x, name: str) -> np.ndarray:
     if np.any(np.linalg.eigvalsh(c) <= 0):
         raise ScenarioError(f"{name} must be positive definite")
     return c
+
+
+def _is_bounds(workspace) -> bool:
+    """Whether workspace is two (low, high) pairs of finite numbers, low < high."""
+    try:
+        return len(workspace) == 2 and all(
+            len(pair) == 2
+            and all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v) for v in pair)
+            and pair[0] < pair[1]
+            for pair in workspace
+        )
+    except TypeError:
+        return False
 
 
 @dataclass(eq=False)
@@ -143,6 +158,11 @@ class Scenario:
         if self.actions is None:
             self.actions = self.opening_actions.copy()
         self.actions = np.asarray(self.actions, dtype=float).reshape(-1, 2)
+        if not _is_bounds(self.workspace):
+            raise ScenarioError(
+                "workspace must be two (low, high) pairs of finite numbers with "
+                f"low < high, got {self.workspace!r}"
+            )
 
     def log_class_prior(self) -> np.ndarray:
         """(n_objects, n_classes) log prior table; -inf where prior is 0."""
@@ -175,9 +195,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         try:
-            d = dict(d)
-            ws = d.pop("workspace", ((-2.0, 12.0), (-2.0, 12.0)))
-            return cls(workspace=(tuple(ws[0]), tuple(ws[1])), **d)
+            return cls(**d)
         except TypeError as exc:
             raise ScenarioError(f"bad scenario fields: {exc}") from exc
 

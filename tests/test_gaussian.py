@@ -146,6 +146,8 @@ class TestGraphQueries:
             g.add_prior([0], [0.0], [[0.0]])
         with pytest.raises(ValueError, match="incompatible"):
             g.add_linear_factor([0, 1], np.eye(3), 0.0, np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="noise_cov shape"):
+            g.add_linear_factor([0, 1], np.eye(2), 0.0, 0.5, np.zeros(2))
 
 
 class TestAppendStep:

@@ -206,9 +206,13 @@ class TestExperimentConfig:
             ({"seed": -1}, "seed must be >= 0"),
             # would slice the evaluated plan from the end of the actions
             ({"eval_horizon": -2}, "eval_horizon must be >= 0"),
+            # trials run in one process; a parallel request must not run serially
+            ({"workers": 2}, "workers must be 1"),
+            ({"workers": 0}, "workers must be 1"),
         ],
         ids=["reference_samples-0", "n_particles-0", "methods-empty",
-             "trials-float", "n_samples-bool", "seed-negative", "eval_horizon-negative"],
+             "trials-float", "n_samples-bool", "seed-negative", "eval_horizon-negative",
+             "workers-2", "workers-0"],
     )
     def test_invalid_field_values(self, over, message):
         with pytest.raises(ConfigError, match=message):
@@ -271,11 +275,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             ExperimentConfig.from_json(bad)
 
-    def test_echo_embeds_scenario_dict(self):
-        cfg = ExperimentConfig.from_dict(self.base())
-        echoed = cfg.echo()
-        assert echoed["scenario"]["n_objects"] == 2
-
 
 class TestResizeScenario:
     def test_class_resize_refreshes_scales_and_radii(self, defaults_scenario):
@@ -320,6 +319,31 @@ TINY = dict(
     n_samples=40,
     reference_samples=2_000,
     seed=9,
+)
+
+PLAN_TINY = dict(
+    kind="planning-table",
+    scenario=dict(
+        n_objects=1,
+        n_classes=1,
+        robot_prior_mean=[0.0, 0.0],
+        robot_prior_cov=[[0.01, 0.0], [0.0, 0.01]],
+        object_prior_means=[[4.0, 5.0]],
+        object_prior_covs=[[0.05, 0.0], [0.0, 0.05]],
+        class_prior=[[1.0]],
+        sigma2_obs=1.0,
+        sigma2_x=0.001,
+        alphas=[1.0],
+        unsafe_radius=[0.0],
+        goal=[8.0, 8.0],
+        opening_actions=[],
+        workspace=[[-2.0, 10.0], [-2.0, 10.0]],
+    ),
+    methods=["gs-map"],
+    trials=2,
+    n_samples=50,
+    seed=4,
+    planner={"n_nodes": 30, "k_nearest": 6, "n_candidates": 5, "max_steps": 25},
 )
 
 
@@ -450,33 +474,7 @@ class TestRunExperiment:
         assert all(r["time_step"] == str(cfg.n_steps) for r in rows)
 
     def test_planning_table_run(self, tmp_path):
-        scenario = dict(
-            n_objects=1,
-            n_classes=1,
-            robot_prior_mean=[0.0, 0.0],
-            robot_prior_cov=[[0.01, 0.0], [0.0, 0.01]],
-            object_prior_means=[[4.0, 5.0]],
-            object_prior_covs=[[0.05, 0.0], [0.0, 0.05]],
-            class_prior=[[1.0]],
-            sigma2_obs=1.0,
-            sigma2_x=0.001,
-            alphas=[1.0],
-            unsafe_radius=[0.0],
-            goal=[8.0, 8.0],
-            opening_actions=[],
-            workspace=[[-2.0, 10.0], [-2.0, 10.0]],
-        )
-        cfg = ExperimentConfig.from_dict(
-            dict(
-                kind="planning-table",
-                scenario=scenario,
-                methods=["gs-map"],
-                trials=2,
-                n_samples=50,
-                seed=4,
-                planner={"n_nodes": 30, "k_nearest": 6, "n_candidates": 5, "max_steps": 25},
-            )
-        )
+        cfg = ExperimentConfig.from_dict(PLAN_TINY)
         summary = run_experiment(cfg, tmp_path)
         stats = summary["planning"]["gs-map"]
         assert stats["trials"] == 2
@@ -485,6 +483,18 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == PLANNING_COLUMNS
         assert len(rows) - 1 == 2
+
+    @pytest.mark.parametrize("config", [TINY, PLAN_TINY], ids=["psafe-vs-time", "planning-table"])
+    def test_summary_echoes_config_fields_but_scenario(self, tmp_path, config):
+        cfg = ExperimentConfig.from_dict(dict(config, trials=1))
+        summary = run_experiment(cfg, tmp_path)
+        with open(summary["files"]["summary"]) as fh:
+            echoed = json.load(fh)["config"]
+        names = [f.name for f in fields(ExperimentConfig) if f.name != "scenario"]
+        assert list(echoed) == names
+        expected = {name: getattr(cfg, name) for name in names}
+        assert echoed == json.loads(json.dumps(expected))
+        assert echoed["workers"] == 1 and echoed["methods"] == config["methods"]
 
 
 SLEEP_S = 0.05
@@ -698,6 +708,11 @@ class TestCli:
             cli_mod, "run_oracle_checks", lambda scenario, seed=0: (False, [])
         )
         assert main(["oracle-check"]) == 3
+
+    def test_oracle_check_negative_seed_exits_2(self, capsys):
+        """The checks' random streams take only non-negative seeds."""
+        assert main(["oracle-check", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.skipif(
         shutil.which("semgeo") is None,

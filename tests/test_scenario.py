@@ -59,6 +59,23 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             tiny_scenario(unsafe_radius=[0.0, -1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "workspace",
+        [[[0, 10]], [[5, 1], [0, 10]], [[0, 0], [0, 10]], "ab", 5,
+         [[0, float("nan")], [0, 10]], [[0, float("inf")], [0, 10]], [["0", "1"], [0, 10]],
+         [[False, True], [0, 10]]],
+        ids=["one-pair", "inverted", "empty", "string", "scalar", "nan", "inf", "text", "bool"],
+    )
+    def test_rejects_bad_workspace(self, workspace):
+        with pytest.raises(ScenarioError, match="workspace must be two"):
+            tiny_scenario(workspace=workspace)
+        with pytest.raises(ScenarioError, match="workspace must be two"):
+            Scenario.from_dict(dict(tiny_scenario().to_dict(), workspace=workspace))
+
+    def test_workspace_is_stored_as_given(self):
+        s = Scenario.from_dict(dict(tiny_scenario().to_dict(), workspace=[[0, 10], [-1.5, 3]]))
+        assert s.to_dict()["workspace"] == [[0, 10], [-1.5, 3]]
+
     def test_default_alphas_bracket_unity(self):
         np.testing.assert_allclose(default_alphas(2), [0.95, 1.05])
         a = default_alphas(5)

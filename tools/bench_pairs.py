@@ -16,7 +16,11 @@ byte-identical output on the same seed.  Every workload also gets TRACED
 alternated traced runs per tree (`--trace 1`, seed SEED0+i for run i, the
 base first on even runs): each of BENCHMARK.json's per-layer metrics is
 reported per trial, as the median and min-max over those runs, beside each
-run's trial count, self-check, prediction and top self-time layers.
+run's trial count, self-check, prediction and top self-time layers.  Those
+runs are time-bounded, so the two trees may run different trials; one more
+traced run per tree of fixed work (`--seconds 0`, seed SEED0: unit 0 only)
+gives `calls_equal` and, under `calls_differ`, each `.calls` metric whose
+count differs between the trees.
 Standard library only; run it from the repository root.
 """
 
@@ -118,7 +122,17 @@ def traced(trees: dict, workload: str, seconds: float, layers: dict) -> dict:
                          "top_self_ms_per_trial": {k: v / trials for k, v in top.items()}})
     per_layer = {side: {name: {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
                         for name, xs in got.items()} for side, got in values.items()}
-    return {"runs": runs, "per_trial": per_layer}
+    return {"runs": runs, "per_trial": per_layer, "fixed_work": fixed_work_calls(trees, workload)}
+
+
+def fixed_work_calls(trees: dict, workload: str) -> dict:
+    """Per-layer `.calls` of one traced unit-0 run per tree, and where they differ."""
+    calls = {side: {name: v for name, v in run(tree, workload, SEED0, 0, trace=1)["metrics"].items()
+                    if name.endswith(".calls")} for side, tree in trees.items()}
+    names = sorted(set(calls["base"]) | set(calls["change"]))
+    differ = {name: {side: calls[side].get(name) for side in trees} for name in names
+              if calls["base"].get(name) != calls["change"].get(name)}
+    return {"seed": SEED0, "calls_equal": not differ, "calls_differ": differ}
 
 
 def main(argv=None) -> int:
