@@ -19,7 +19,6 @@ from .estimators import (
     EstimateReport,
     OpenLoopPlan,
     RewardTerm,
-    StructuredReward,
     estimate_explicit_c,
     estimate_sampled_xc,
     estimate_structured,

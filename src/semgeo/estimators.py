@@ -5,19 +5,16 @@ that depend on that object's class:
 
     r(C, X) = sum_j prod_{n in objects_j} f_{j,n}(c_n, X)
 
-For such rewards the expectation over the joint belief reduces, per state
-sample, to products of per-object class sums against the factored
-conditional b[c_n | X].  That path costs O(n_samples * terms * n_classes)
-per object, while the brute-force route sums over every joint hypothesis.
-Both are implemented and agree exactly on identical samples.  In code a
-term is its objects and one (n_samples, n_objects, n_classes) table of
-f_{j,n}(c, X) per sample, computed once per term and estimate.  The
-brute-force route sums the joint it is handed; the hypothesis-count guard
-sits where hypotheses are enumerated, in belief.enumerate_labels.
-
-Objects absent from every term are marginalized automatically, which is only
-correct when each conditional row sums to one; the structured estimator
-validates that.
+In code a reward is a tuple of RewardTerms, each its objects and one
+(n_samples, n_objects, n_classes) table of f_{j,n}(c, X) per sample,
+computed once per term and estimate.  The three estimators share one term
+loop and differ only in the per-object factor: the sampled class (joint
+samples), the class sum against the factored conditional b[c_n | X]
+(conditional expectation, O(n_samples * terms * n_classes) per object), or
+every enumerated joint hypothesis's class (the brute-force route).  The
+last two agree exactly on identical samples.  The brute-force route sums
+the joint it is handed; the hypothesis-count guard sits where hypotheses
+are enumerated, in belief.enumerate_labels.
 """
 
 from __future__ import annotations
@@ -88,7 +85,8 @@ def rollout_states(
 
 @dataclass(frozen=True)
 class RewardTerm:
-    """One product term: prod_{n in objects} table[:, n, c_n].
+    """One product term: prod_{n in objects} table[:, n, c_n].  A reward is
+    a tuple of these.
 
     table(state_set, rollout, scenario) returns a C-contiguous
     (n_samples, n_objects, n_classes) array of the term's factors.
@@ -96,14 +94,6 @@ class RewardTerm:
 
     objects: tuple
     table: object
-
-
-@dataclass(frozen=True)
-class StructuredReward:
-    terms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
 
 
 @dataclass
@@ -124,18 +114,15 @@ def _weighted_report(values, state_set) -> EstimateReport:
     )
 
 
-def _sums_near_one(sums: np.ndarray) -> bool:
-    """np.allclose(sums, 1.0, atol=1e-6) without its overhead: the same
-    |sum - 1| <= atol + rtol * 1 test, and NaN or inf sums still fail."""
-    return bool(np.all(np.abs(sums - 1.0) <= 1e-6 + 1e-5))
-
-
-def _check_rows_normalized(class_probs: np.ndarray) -> None:
-    sums = class_probs.sum(axis=-1)
-    if not _sums_near_one(sums):
+def _check_rows_normalized(probs: np.ndarray, name: str) -> None:
+    # np.allclose(sums, 1.0, atol=1e-6) without its overhead: the same
+    # |sum - 1| <= atol + rtol * 1 test, and NaN or inf sums still fail.
+    # A factored conditional must pass it because objects absent from every
+    # term are marginalized by leaving them out of the product.
+    sums = probs.sum(axis=-1)
+    if not np.all(np.abs(sums - 1.0) <= 1e-6 + 1e-5):
         raise ValueError(
-            "class_probs rows must sum to 1 (auto-marginalization of untouched "
-            f"objects is invalid otherwise); max deviation {np.abs(sums - 1).max():.3g}"
+            f"{name} rows must sum to 1; max deviation {np.abs(sums - 1).max():.3g}"
         )
 
 
@@ -143,52 +130,43 @@ def _check_rows_normalized(class_probs: np.ndarray) -> None:
 # per-sample reward values under the three conditioning modes
 
 
-def reward_at_labels(reward, state_set, rollout, scenario, labels) -> np.ndarray:
-    """(n,) reward evaluated at one sampled class assignment per sample."""
-    n = len(state_set)
-    rows = np.arange(n)
-    total = np.zeros(n)
-    for term in reward.terms:
+def _term_values(reward, state_set, rollout, scenario, shape, factor) -> np.ndarray:
+    """Sum over terms of the product over the term's objects of
+    factor(col, obj), col being the object's (n, n_classes) table column."""
+    total = np.zeros(shape)
+    for term in reward:
         table = term.table(state_set, rollout, scenario)
-        acc = np.ones(n)
+        acc = np.ones(shape)
         for obj in term.objects:
-            acc = acc * table[rows, obj, labels[:, obj]]
+            acc *= factor(table[:, obj], obj)
         total += acc
     return total
+
+
+def reward_at_labels(reward, state_set, rollout, scenario, labels) -> np.ndarray:
+    """(n,) reward evaluated at one sampled class assignment per sample."""
+    rows = np.arange(len(state_set))
+    return _term_values(reward, state_set, rollout, scenario, len(rows),
+                        lambda col, obj: col[rows, labels[:, obj]])
 
 
 def structured_values(reward, state_set, rollout, scenario, class_probs) -> np.ndarray:
     """(n,) conditional expectation per sample via per-object class sums."""
-    n = len(state_set)
-    total = np.zeros(n)
-    for term in reward.terms:
-        table = term.table(state_set, rollout, scenario)
-        acc = np.ones(n)
-        for obj in term.objects:
-            acc = acc * np.einsum("ic,ic->i", class_probs[:, obj, :], table[:, obj, :])
-        total += acc
-    return total
+    return _term_values(reward, state_set, rollout, scenario, len(state_set),
+                        lambda col, obj: np.einsum("ic,ic->i", class_probs[:, obj, :], col))
 
 
 def explicit_values(reward, state_set, rollout, scenario, labels_enum) -> np.ndarray:
     """(n, n_hypotheses) reward at every joint hypothesis for every sample."""
-    n = len(state_set)
-    h = len(labels_enum)
-    total = np.zeros((n, h))
-    for term in reward.terms:
-        table = term.table(state_set, rollout, scenario)
-        acc = np.ones((n, h))
-        for obj in term.objects:
-            acc *= table[:, obj, labels_enum[:, obj]]
-        total += acc
-    return total
+    return _term_values(reward, state_set, rollout, scenario, (len(state_set), len(labels_enum)),
+                        lambda col, obj: col[:, labels_enum[:, obj]])
 
 
 def factored_joint(class_probs, labels_enum) -> np.ndarray:
     """(n, n_hypotheses) joint as the per-object product of the factored
     conditional, at the enumerated hypotheses."""
     class_probs = np.asarray(class_probs, dtype=float)
-    _check_rows_normalized(class_probs)
+    _check_rows_normalized(class_probs, "class_probs")
     joint = np.ones((len(class_probs), len(labels_enum)))
     for obj in range(class_probs.shape[1]):
         joint *= class_probs[:, obj, labels_enum[:, obj]]
@@ -210,7 +188,7 @@ def estimate_sampled_xc(state_set, rollout, reward, scenario) -> EstimateReport:
 def estimate_structured(state_set, rollout, reward, scenario, class_probs) -> EstimateReport:
     """Conditional-expectation estimator using factored per-object sums."""
     class_probs = np.asarray(class_probs, dtype=float)
-    _check_rows_normalized(class_probs)
+    _check_rows_normalized(class_probs, "class_probs")
     values = structured_values(reward, state_set, rollout, scenario, class_probs)
     return _weighted_report(values, state_set)
 
@@ -224,8 +202,7 @@ def estimate_explicit_c(
     enumerated labels_enum; factored_joint builds it from a factored
     conditional.
     """
-    if not _sums_near_one(joint_probs.sum(axis=1)):
-        raise ValueError("joint_probs rows must sum to 1")
+    _check_rows_normalized(joint_probs, "joint_probs")
     values = explicit_values(reward, state_set, rollout, scenario, labels_enum)
     return _weighted_report(np.einsum("ih,ih->i", joint_probs, values), state_set)
 
@@ -239,13 +216,11 @@ def _safety_table(state_set, rollout, scenario) -> np.ndarray:
     return _kernels.safety_products(rollout, object_xy, scenario.unsafe_radius)
 
 
-def safety_reward(scenario: Scenario) -> StructuredReward:
+def safety_reward(scenario: Scenario) -> tuple:
     """Probability-of-safety reward: one multiplicative term over all objects,
     the per-object factor being the indicator that every future pose stays
     outside that object's class-dependent unsafe disk."""
-    return StructuredReward(
-        terms=[RewardTerm(objects=tuple(range(scenario.n_objects)), table=_safety_table)]
-    )
+    return (RewardTerm(objects=tuple(range(scenario.n_objects)), table=_safety_table),)
 
 
 def _goal_distance(x: np.ndarray, y: np.ndarray, goal: np.ndarray) -> np.ndarray:
@@ -311,7 +286,7 @@ def is_mse_lower_bound(prior, proposal, gbar, n_samples: int) -> float:
 
 def rao_blackwell_gap(
     scenario: Scenario,
-    reward: StructuredReward,
+    reward: tuple,
     n_samples: int,
     repetitions: int,
     rng: np.random.Generator,
@@ -339,17 +314,6 @@ def rao_blackwell_gap(
         belief = belief.update(action, batch)
     plan = plan if plan is not None else OpenLoopPlan.empty()
 
-    def explicit_report(sset, rollout):
-        joint = belief.conditional_joint_probs(sset.samples)
-        return estimate_explicit_c(
-            sset,
-            rollout,
-            reward,
-            scenario,
-            joint_probs=joint,
-            labels_enum=belief.labels_enum,
-        )
-
     # reference value from one large exact joint draw
     big = belief.sample(reference_samples, streams.sampler)
     big_roll = rollout_states(big, plan, scenario, streams.sampler)
@@ -361,7 +325,8 @@ def rao_blackwell_gap(
         sset = belief.sample(n_samples, streams.sampler)
         rollout = rollout_states(sset, plan, scenario, streams.sampler)
         est_joint = estimate_sampled_xc(sset, rollout, reward, scenario)
-        est_rb = explicit_report(sset, rollout)
+        joint = belief.conditional_joint_probs(sset.samples)
+        est_rb = estimate_explicit_c(sset, rollout, reward, scenario, joint, belief.labels_enum)
         err_joint[r] = (est_joint.value - ref.value) ** 2
         err_rb[r] = (est_rb.value - ref.value) ** 2
 

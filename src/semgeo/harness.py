@@ -148,7 +148,10 @@ def load_scenario(spec) -> Scenario:
             return Scenario.from_dict(json.loads(packaged.read_text()))
         path = Path(spec)
         if path.is_file():
-            return Scenario.from_json(path)
+            try:
+                return Scenario.from_json(path)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
         raise ConfigError(f"unknown scenario {spec!r} (not shipped, not a file)")
     raise ConfigError(f"cannot interpret scenario spec of type {type(spec).__name__}")
 

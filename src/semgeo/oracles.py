@@ -20,7 +20,6 @@ from .belief import HybridBelief, decode_labels, enumerate_labels
 from .estimators import (
     OpenLoopPlan,
     RewardTerm,
-    StructuredReward,
     estimate_explicit_c,
     estimate_structured,
     factored_joint,
@@ -116,7 +115,7 @@ def graph_from_problem(dim: int, priors, observations) -> GaussianFactorGraph:
 
 def random_structured_reward(
     scenario: Scenario, rng: np.random.Generator, n_terms: int = 3
-) -> StructuredReward:
+) -> tuple:
     """Random smooth reward in the structured (sum of products) form.
 
     Tables are pure functions of the sampled object positions, so repeated
@@ -138,7 +137,7 @@ def random_structured_reward(
             return 1.0 + 0.5 * np.sin(proj[:, :, None] + phase[None, :, :])
 
         terms.append(RewardTerm(objects=objs, table=table))
-    return StructuredReward(terms=terms)
+    return tuple(terms)
 
 
 def build_history_beliefs(scenario: Scenario, n_steps: int, seed: int, trial: int = 0):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import isfinite
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,12 +53,33 @@ def _as_cov(x, name: str) -> np.ndarray:
     return c
 
 
+def _is_number(v) -> bool:
+    """Whether v is a finite real number and not a bool."""
+    return isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
+
+
+def _finite(x, name: str, shape: tuple) -> np.ndarray:
+    """x as a float array of finite numbers of the given shape; a leading -1
+    matches any length, an empty list included."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        a = np.array(np.nan)
+    if shape[0] == -1 and a.size == 0:
+        a = a.reshape(0, *shape[1:])
+    fits = a.ndim == len(shape) and all(m in (n, -1) for n, m in zip(a.shape, shape))
+    if not (fits and np.isfinite(a).all()):
+        dims = str(shape).replace("-1", "k")
+        raise ScenarioError(f"{name} must be finite numbers of shape {dims}, got {x!r}")
+    return a
+
+
 def _is_bounds(workspace) -> bool:
     """Whether workspace is two (low, high) pairs of finite numbers, low < high."""
     try:
         return len(workspace) == 2 and all(
             len(pair) == 2
-            and all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v) for v in pair)
+            and all(_is_number(v) for v in pair)
             and pair[0] < pair[1]
             for pair in workspace
         )
@@ -69,6 +90,14 @@ def _is_bounds(workspace) -> bool:
 @dataclass(eq=False)
 class Scenario:
     """Immutable-by-convention problem definition.
+
+    Construction raises ScenarioError unless n_objects and n_classes are
+    integers >= 1, sigma2_obs and sigma2_x finite numbers > 0 (bools are
+    neither), robot_prior_mean and goal exactly 2 finite numbers, alphas and
+    unsafe_radius exactly n_classes finite numbers (radii >= 0),
+    object_prior_means finite, and actions and opening_actions [] or a list
+    of finite [x, y] pairs.  A single object cov, a scalar robot cov and one
+    class_prior row broadcast.
 
     Attributes:
         n_objects: number of landmarks with unknown class.
@@ -106,17 +135,11 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.n_objects < 1:
-            raise ScenarioError("n_objects must be >= 1")
-        if self.n_classes < 1:
-            raise ScenarioError("n_classes must be >= 1")
-        self.robot_prior_mean = np.asarray(self.robot_prior_mean, dtype=float).reshape(2)
+        for name in ("n_objects", "n_classes"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 1):
+                raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
         self.robot_prior_cov = _as_cov(self.robot_prior_cov, "robot_prior_cov")
-        self.object_prior_means = np.asarray(self.object_prior_means, dtype=float)
-        if self.object_prior_means.shape != (self.n_objects, 2):
-            raise ScenarioError(
-                f"object_prior_means must have shape ({self.n_objects}, 2)"
-            )
         covs = np.asarray(self.object_prior_covs, dtype=float)
         if covs.shape == (2, 2):
             covs = np.tile(covs, (self.n_objects, 1, 1))
@@ -137,27 +160,28 @@ class Scenario:
         if np.any(prior < 0) or not np.allclose(prior.sum(axis=1), 1.0, atol=1e-9):
             raise ScenarioError("class_prior rows must be nonnegative and sum to 1")
         self.class_prior = prior
-        if self.sigma2_obs <= 0 or self.sigma2_x <= 0:
-            raise ScenarioError("noise variances must be positive")
-        self.alphas = (
-            default_alphas(self.n_classes)
-            if self.alphas is None
-            else np.asarray(self.alphas, dtype=float).reshape(self.n_classes)
-        )
-        self.unsafe_radius = (
-            np.zeros(self.n_classes)
-            if self.unsafe_radius is None
-            else np.asarray(self.unsafe_radius, dtype=float).reshape(self.n_classes)
-        )
-        if np.any(self.unsafe_radius < 0):
-            raise ScenarioError("unsafe_radius entries must be >= 0")
-        self.goal = np.asarray(self.goal, dtype=float).reshape(2)
+        if not all(_is_number(v) and v > 0 for v in (self.sigma2_obs, self.sigma2_x)):
+            raise ScenarioError("noise variances must be finite numbers > 0")
+        if self.alphas is None:
+            self.alphas = default_alphas(self.n_classes)
+        if self.unsafe_radius is None:
+            self.unsafe_radius = np.zeros(self.n_classes)
         if self.opening_actions is None:
             self.opening_actions = np.tile(np.array([[0.5, 0.5]]), (4, 1))
-        self.opening_actions = np.asarray(self.opening_actions, dtype=float).reshape(-1, 2)
+        for name, shape in (
+            ("robot_prior_mean", (2,)),
+            ("object_prior_means", (self.n_objects, 2)),
+            ("alphas", (self.n_classes,)),
+            ("unsafe_radius", (self.n_classes,)),
+            ("goal", (2,)),
+            ("opening_actions", (-1, 2)),
+        ):
+            setattr(self, name, _finite(getattr(self, name), name, shape))
         if self.actions is None:
             self.actions = self.opening_actions.copy()
-        self.actions = np.asarray(self.actions, dtype=float).reshape(-1, 2)
+        self.actions = _finite(self.actions, "actions", (-1, 2))
+        if np.any(self.unsafe_radius < 0):
+            raise ScenarioError("unsafe_radius entries must be >= 0")
         if not _is_bounds(self.workspace):
             raise ScenarioError(
                 "workspace must be two (low, high) pairs of finite numbers with "
@@ -194,6 +218,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        if not isinstance(d, dict):
+            raise ScenarioError(f"scenario must be an object, got {type(d).__name__}")
         try:
             return cls(**d)
         except TypeError as exc:

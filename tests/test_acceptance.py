@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import logsumexp
 
-from semgeo import _kernels
+from semgeo import _kernels, estimators
 from semgeo.baselines import AnalyticHybridBelief
 from semgeo.belief import HybridBelief, enumerate_labels
 from semgeo.estimators import (
@@ -426,12 +426,14 @@ def test_c08_accuracy_ordering_and_runtime_scaling(tmp_path):
 def test_c08_operation_counts_scale_with_classes(monkeypatch):
     """c08's scaling claim counted rather than timed, so load cannot move
     it: Cholesky factorizations (misses of a graph's cached factor) and
-    class-table cells (samples x objects x classes), at 3 objects and 2, 4
-    and 8 classes.  The methods run by hand, not through the harness, so
-    the reference's exact belief stays out of the counts."""
-    counts = {"chol": 0, "cells": 0}
+    class-table cells (samples x objects x classes) and exhaustive reward
+    terms (samples x hypotheses), at 3 objects and 2, 4 and 8 classes.  The
+    methods run by hand, not through the harness, so the reference's exact
+    belief stays out of the counts."""
+    counts = {"chol": 0, "cells": 0, "terms": 0}
     chol = GaussianFactorGraph._chol
     class_log_tables = _kernels.class_log_tables
+    explicit_values = estimators.explicit_values
 
     def counted_chol(graph):
         counts["chol"] += "chol" not in graph._cache
@@ -443,12 +445,18 @@ def test_c08_operation_counts_scale_with_classes(monkeypatch):
         return out
 
     monkeypatch.setattr(GaussianFactorGraph, "_chol", counted_chol)
+    def counted_terms(*args):
+        out = explicit_values(*args)
+        counts["terms"] += out.size
+        return out
+
     monkeypatch.setattr(_kernels, "class_log_tables", counted_tables)
+    monkeypatch.setattr(estimators, "explicit_values", counted_terms)
 
     def phase(fn):
-        counts.update(chol=0, cells=0)
+        counts.update(chol=0, cells=0, terms=0)
         fn()
-        return counts["chol"], counts["cells"]
+        return counts["chol"], counts["cells"], counts["terms"]
 
     base = resize_scenario(load_scenario("defaults"), n_objects=3)
     classes = (2, 4, 8)
@@ -467,15 +475,16 @@ def test_c08_operation_counts_scale_with_classes(monkeypatch):
 
             update = phase(updates)
             query = phase(lambda: method.estimate(OpenLoopPlan(sc.actions[4:10]), 200, rng))
-            seen[tag, n_cls] = (update[0], query[0], update[1] + query[1])
-    # (factorizations in the updates, in the query, class-table cells)
+            seen[tag, n_cls] = (update[0], query[0], update[1] + query[1], update[2], query[2])
+    # (factorizations in the updates, in the query, class-table cells,
+    #  exhaustive terms in the updates, in the query)
     expected = {
-        ("theoretical-all-hyp", 2): (32, 0, 0),
-        ("theoretical-all-hyp", 4): (256, 0, 0),
-        ("theoretical-all-hyp", 8): (2048, 0, 0),
-        ("mcmc-ours", 2): (0, 1, 11904),
-        ("mcmc-ours", 4): (0, 1, 23808),
-        ("mcmc-ours", 8): (0, 1, 47616),
+        ("theoretical-all-hyp", 2): (32, 0, 0, 0, 1600),
+        ("theoretical-all-hyp", 4): (256, 0, 0, 0, 12800),
+        ("theoretical-all-hyp", 8): (2048, 0, 0, 0, 102400),
+        ("mcmc-ours", 2): (0, 1, 11904, 0, 0),
+        ("mcmc-ours", 4): (0, 1, 23808, 0, 0),
+        ("mcmc-ours", 8): (0, 1, 47616, 0, 0),
     }
 
     def slope(tag, i):
@@ -487,6 +496,7 @@ def test_c08_operation_counts_scale_with_classes(monkeypatch):
         "08 count-scaling",
         f"all-hyp factorization slope {slope('theoretical-all-hyp', 0):+.2f}, "
         f"ours per-query factorization slope {slope('mcmc-ours', 1):+.2f}, "
+        f"all-hyp per-query term slope {slope('theoretical-all-hyp', 4):+.2f}, "
         f"ours class-cell slope {slope('mcmc-ours', 2):+.2f}; counts {seen}",
     )
 

@@ -654,6 +654,19 @@ class TestCli:
         assert main([verb, "--config", str(path)]) == 2
         assert "config must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{bad", "cannot read scenario"), ("[1, 2]", "scenario must be an object, got list")],
+        ids=["unparsable", "list"],
+    )
+    def test_broken_scenario_file_exits_2(self, text, message, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, scenario=str(tmp_path / "bad.json"))))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "cannot read config" not in err
+
     def test_oracle_check_takes_no_methods(self, monkeypatch, capsys):
         """oracle-check runs every check; it has no --methods to ignore."""
         monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))

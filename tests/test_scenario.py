@@ -76,6 +76,45 @@ class TestValidation:
         s = Scenario.from_dict(dict(tiny_scenario().to_dict(), workspace=[[0, 10], [-1.5, 3]]))
         assert s.to_dict()["workspace"] == [[0, 10], [-1.5, 3]]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"actions": [[1, 2, 3], [4, 5, 6]]},
+            {"actions": [[0.5, float("nan")]]},
+            {"opening_actions": [[1, 2, 3]]},
+            {"goal": [1.0, 2.0, 3.0]},
+            {"goal": [float("nan"), 1.0]},
+            {"robot_prior_mean": [0.0, 0.0, 0.0]},
+            {"alphas": [1.0, 1.0]},
+            {"alphas": [float("nan"), 1.0, 1.0]},
+            {"unsafe_radius": [float("nan"), 1.0, 1.0]},
+            {"unsafe_radius": [0.0, 1.0]},
+            {"object_prior_means": [[float("nan"), 1.0], [1.0, 3.0]]},
+            {"sigma2_x": float("inf")},
+            {"sigma2_obs": float("nan")},
+            {"sigma2_obs": True},
+            {"n_objects": True, "object_prior_means": [[2.0, 1.0]]},
+            {"n_classes": True, "class_prior": [1.0]},
+            {"n_objects": 2.0},
+        ],
+        ids=["actions-triples", "actions-nan", "opening-triple", "goal-3", "goal-nan",
+             "robot-mean-3", "alphas-2", "alphas-nan", "radius-nan", "radius-2", "means-nan",
+             "sigma2-x-inf", "sigma2-obs-nan", "sigma2-obs-bool", "n-objects-bool",
+             "n-classes-bool", "n-objects-float"],
+    )
+    def test_rejects_malformed_numbers(self, overrides):
+        with pytest.raises(ScenarioError):
+            tiny_scenario(**overrides)
+
+    def test_empty_actions_are_kept(self):
+        s = tiny_scenario(opening_actions=[])
+        assert s.opening_actions.shape == (0, 2) and s.actions.shape == (0, 2)
+        assert s.to_dict()["actions"] == []
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ScenarioError, match="scenario must be an object, got list"):
+            Scenario.from_dict([1, 2])
+
     def test_default_alphas_bracket_unity(self):
         np.testing.assert_allclose(default_alphas(2), [0.95, 1.05])
         a = default_alphas(5)

@@ -20,7 +20,8 @@ run's trial count, self-check, prediction and top self-time layers.  Those
 runs are time-bounded, so the two trees may run different trials; one more
 traced run per tree of fixed work (`--seconds 0`, seed SEED0: unit 0 only)
 gives `calls_equal` and, under `calls_differ`, each `.calls` metric whose
-count differs between the trees.
+count differs between the trees.  `src_lines` gives each tree's line count
+of src/semgeo/*.py, as `wc -l` counts them.
 Standard library only; run it from the repository root.
 """
 
@@ -49,6 +50,11 @@ def export(base: str, scratch) -> tuple:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tree)
     return commit, tree
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/semgeo/*.py, the total `wc -l` prints."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "semgeo").glob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -149,7 +155,9 @@ def main(argv=None) -> int:
     dirty = subprocess.check_output(["git", "status", "--porcelain", "--untracked-files=no"],
                                     cwd=ROOT, text=True).strip()
     result = {"base_commit": commit, "change": "working tree" + (" (uncommitted)" if dirty else ""),
-              "seconds": seconds, "seed0": SEED0, "workloads": {}, "traced": {}}
+              "seconds": seconds, "seed0": SEED0,
+              "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+              "workloads": {}, "traced": {}}
     layers = {m["name"]: m["unit"] for m in bench["per_layer"]}
     for w in bench["workloads"]:
         result["workloads"][w["name"]] = pairs(trees, w["name"], seconds, better)
