@@ -11,11 +11,18 @@ value = mean.  The graph accumulates the exact unnormalized log product of
 all factor densities, so the normalizer (log evidence) of the product is
 available in closed form.  That quantity is what makes analytic hypothesis
 weights and marginal-consistency checks possible.
+
+Each distinct noise covariance is Cholesky-factored once: a bounded memo maps
+its shape and bytes to the read-only lower factor and its log-determinant, so
+the isotropic motion and sensor noises of a long run are factored one time
+each.  Every call still checks shapes, columns and finiteness, and solves
+against the factor with LAPACK's potrs, the routine `cho_solve` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
@@ -25,6 +32,23 @@ from .scenario import LOG_2PI
 
 class SingularPrecisionError(np.linalg.LinAlgError):
     """Posterior precision not positive definite (some slot unconstrained)."""
+
+
+_POTRS = linalg.get_lapack_funcs("potrs", dtype=np.float64)
+
+
+@lru_cache(maxsize=32)
+def _noise_factor(shape: tuple, data: bytes) -> tuple[np.ndarray, float]:
+    """(lower Cholesky factor, log-determinant) of the float64 matrix with
+    this shape and C-order bytes.  A raising input (not finite, not positive
+    definite) is not cached, so it raises again on every call."""
+    cov = np.frombuffer(data).reshape(shape)
+    try:
+        low = linalg.cho_factor(cov, lower=True)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("noise_cov must be positive definite") from exc
+    low.setflags(write=False)
+    return low, 2.0 * np.sum(np.log(np.diag(low)))
 
 
 @dataclass(frozen=True)
@@ -122,32 +146,35 @@ class GaussianFactorGraph:
     # factor accumulation
 
     def add_linear_factor(self, cols, a_mat, offset, noise_cov, value) -> None:
-        """Add the factor  value = a_mat @ X[cols] + offset + v,  v~N(0, noise_cov)."""
+        """Add the factor  value = a_mat @ X[cols] + offset + v,  v~N(0, noise_cov).
+
+        Raises ValueError on mismatched shapes, columns outside the state,
+        a non-finite a_mat, value - offset or noise_cov, or a noise_cov that
+        is not positive definite; the noise factor comes from the memo."""
         cols = np.asarray(cols, dtype=np.int64).ravel()
         a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
         m = a_mat.shape[0]
-        value = np.asarray(value, dtype=float).reshape(m)
-        offset = np.broadcast_to(np.asarray(offset, dtype=float), (m,))
+        resid = np.asarray(value, dtype=float).reshape(m) - np.asarray(offset, dtype=float)
         noise_cov = np.asarray(noise_cov, dtype=float)
         if a_mat.shape != (m, len(cols)):
             raise ValueError(
                 f"a_mat shape {a_mat.shape} incompatible with {len(cols)} columns"
             )
+        if resid.shape != (m,):
+            raise ValueError(f"offset shape {np.shape(offset)} does not broadcast to ({m},)")
         if noise_cov.shape != (m, m):
             raise ValueError(f"noise_cov shape {noise_cov.shape}, expected ({m},{m})")
-        if np.any(cols < 0) or np.any(cols >= self.dim):
+        if ((cols < 0) | (cols >= self.dim)).any():
             raise ValueError("factor columns outside the stacked state")
-        try:
-            cf = linalg.cho_factor(noise_cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("noise_cov must be positive definite") from exc
-        resid = value - offset
-        ri_a = linalg.cho_solve(cf, a_mat)
-        ri_r = linalg.cho_solve(cf, resid)
-        ij = np.ix_(cols, cols)
-        self._H[ij] += a_mat.T @ ri_a
+        low, logdet_r = _noise_factor(noise_cov.shape, noise_cov.tobytes())
+        if not (np.isfinite(a_mat).all() and np.isfinite(resid).all()):
+            raise ValueError("a_mat and value - offset must be finite")
+        ri_a, info_a = _POTRS(low, a_mat, lower=True)
+        ri_r, info_r = _POTRS(low, resid, lower=True)
+        if info_a or info_r:
+            raise ValueError(f"potrs reported info {info_a or info_r}")
+        self._H[cols[:, None], cols] += a_mat.T @ ri_a
         self._theta[cols] += a_mat.T @ ri_r
-        logdet_r = 2.0 * np.sum(np.log(np.diag(cf[0])))
         self._log_const += -0.5 * m * LOG_2PI - 0.5 * logdet_r - 0.5 * resid @ ri_r
         self._cache.clear()
 

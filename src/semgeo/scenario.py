@@ -40,12 +40,34 @@ def default_alphas(n_classes: int) -> np.ndarray:
     return np.linspace(0.95, 1.05, n_classes)
 
 
+def _is_numeric(x) -> bool:
+    """Whether x is a real number, or a nested list/tuple or numeric array of
+    them; bools and strings are not numbers."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iuf"
+    if isinstance(x, (list, tuple)):
+        return all(_is_numeric(v) for v in x)
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _floats(x, name: str) -> np.ndarray:
+    """x as a float array; ScenarioError unless it is numeric and not ragged."""
+    if _is_numeric(x):
+        try:
+            return np.asarray(x, dtype=float)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{name} must be an array of numbers, got {x!r}")
+
+
 def _as_cov(x, name: str) -> np.ndarray:
-    c = np.asarray(x, dtype=float)
+    c = _floats(x, name)
     if c.shape == ():
         c = np.eye(2) * float(c)
     if c.shape != (2, 2):
         raise ScenarioError(f"{name} must be a 2x2 covariance, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ScenarioError(f"{name} must be finite")
     if not np.allclose(c, c.T):
         raise ScenarioError(f"{name} must be symmetric")
     if np.any(np.linalg.eigvalsh(c) <= 0):
@@ -61,10 +83,7 @@ def _is_number(v) -> bool:
 def _finite(x, name: str, shape: tuple) -> np.ndarray:
     """x as a float array of finite numbers of the given shape; a leading -1
     matches any length, an empty list included."""
-    try:
-        a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        a = np.array(np.nan)
+    a = _floats(x, name)
     if shape[0] == -1 and a.size == 0:
         a = a.reshape(0, *shape[1:])
     fits = a.ndim == len(shape) and all(m in (n, -1) for n, m in zip(a.shape, shape))
@@ -92,12 +111,13 @@ class Scenario:
     """Immutable-by-convention problem definition.
 
     Construction raises ScenarioError unless n_objects and n_classes are
-    integers >= 1, sigma2_obs and sigma2_x finite numbers > 0 (bools are
-    neither), robot_prior_mean and goal exactly 2 finite numbers, alphas and
-    unsafe_radius exactly n_classes finite numbers (radii >= 0),
-    object_prior_means finite, and actions and opening_actions [] or a list
-    of finite [x, y] pairs.  A single object cov, a scalar robot cov and one
-    class_prior row broadcast.
+    integers >= 1, sigma2_obs and sigma2_x finite numbers > 0, the
+    covariances finite, symmetric and positive definite, robot_prior_mean
+    and goal exactly 2 finite numbers, alphas and unsafe_radius exactly
+    n_classes finite numbers (radii >= 0), object_prior_means finite, and
+    actions and opening_actions [] or a list of finite [x, y] pairs.  Bools
+    and strings are not numbers in any field.  A single object cov, a scalar
+    robot cov and one class_prior row broadcast.
 
     Attributes:
         n_objects: number of landmarks with unknown class.
@@ -140,7 +160,7 @@ class Scenario:
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 1):
                 raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
         self.robot_prior_cov = _as_cov(self.robot_prior_cov, "robot_prior_cov")
-        covs = np.asarray(self.object_prior_covs, dtype=float)
+        covs = _floats(self.object_prior_covs, "object_prior_covs")
         if covs.shape == (2, 2):
             covs = np.tile(covs, (self.n_objects, 1, 1))
         if covs.shape != (self.n_objects, 2, 2):
@@ -150,7 +170,7 @@ class Scenario:
         self.object_prior_covs = np.stack(
             [_as_cov(covs[n], f"object_prior_covs[{n}]") for n in range(self.n_objects)]
         )
-        prior = np.asarray(self.class_prior, dtype=float)
+        prior = _floats(self.class_prior, "class_prior")
         if prior.shape == (self.n_classes,):
             prior = np.tile(prior, (self.n_objects, 1))
         if prior.shape != (self.n_objects, self.n_classes):

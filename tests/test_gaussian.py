@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
-from semgeo.gaussian import GaussianFactorGraph, SingularPrecisionError, StackedIndex
+from semgeo.gaussian import (
+    GaussianFactorGraph,
+    SingularPrecisionError,
+    StackedIndex,
+    _noise_factor,
+)
+from semgeo.scenario import LOG_2PI
 from semgeo.oracles import graph_from_problem, kalman_oracle, random_factor_problem
 
 
@@ -214,3 +221,84 @@ class TestAppendStep:
             )
         np.testing.assert_allclose(g.log_evidence, big.log_evidence, rtol=1e-12)
         np.testing.assert_allclose(g.mean, big.mean, atol=1e-12)
+
+
+def random_spd(rng, m):
+    root = rng.normal(size=(m, m))
+    return root @ root.T + m * np.eye(m)
+
+
+class TestNoiseFactor:
+    """add_linear_factor's memoized noise factor and direct potrs solves
+    against a reference built from cho_factor and cho_solve."""
+
+    def test_bit_identical_to_cho_solve_reference(self, rng):
+        dim = 7
+        g = GaussianFactorGraph(dim)
+        h, theta, log_const = np.zeros((dim, dim)), np.zeros(dim), 0.0
+        # a small pool, so most factors reuse a noise matrix already cached
+        pool = [random_spd(rng, m) for m in (1, 2, 3) for _ in range(2)]
+        pool += [0.3 * np.eye(2), 5.0 * np.eye(2)]
+        hits = _noise_factor.cache_info().hits
+        for _ in range(60):
+            noise = pool[rng.integers(len(pool))]
+            m = len(noise)
+            cols = rng.choice(dim, size=int(rng.integers(1, 5)), replace=False)
+            a_mat = rng.normal(size=(m, len(cols)))
+            offset = rng.normal(size=m) if rng.random() < 0.5 else float(rng.normal())
+            value = rng.normal(size=m)
+            g.add_linear_factor(cols, a_mat, offset, noise, value)
+            cf = linalg.cho_factor(noise, lower=True)
+            resid = value - np.broadcast_to(offset, (m,))
+            ri_a = linalg.cho_solve(cf, a_mat)
+            ri_r = linalg.cho_solve(cf, resid)
+            h[np.ix_(cols, cols)] += a_mat.T @ ri_a
+            theta[cols] += a_mat.T @ ri_r
+            logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
+            log_const += -0.5 * m * LOG_2PI - 0.5 * logdet - 0.5 * resid @ ri_r
+            # after every factor, and the memo itself: a last-bit slip in the
+            # log-determinant can vanish in log_const's sum
+            np.testing.assert_array_equal(g._H, h)
+            np.testing.assert_array_equal(g._theta, theta)
+            np.testing.assert_array_equal(g._log_const, log_const)
+            low, memo_logdet = _noise_factor(noise.shape, noise.tobytes())
+            np.testing.assert_array_equal(low, cf[0])
+            assert memo_logdet == logdet
+        assert _noise_factor.cache_info().hits >= hits + 2 * 60 - len(pool)
+
+    @pytest.mark.parametrize("where", ["a_mat", "value", "offset", "noise_cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, where, bad):
+        args = dict(a_mat=np.eye(2), offset=np.zeros(2), noise_cov=np.eye(2), value=np.ones(2))
+        args[where] = args[where].copy()
+        args[where].flat[0] = bad
+        g = GaussianFactorGraph(2)
+        size = _noise_factor.cache_info().currsize
+        with pytest.raises(ValueError):
+            g.add_linear_factor([0, 1], **args)
+        np.testing.assert_array_equal(g._H, 0.0)
+        if where == "noise_cov":
+            assert _noise_factor.cache_info().currsize == size
+
+    def test_non_pd_raises_after_pd_of_same_shape_is_cached(self):
+        g = GaussianFactorGraph(2)
+        g.add_prior([0, 1], [0.0, 0.0], np.eye(2))
+        g.add_prior([0, 1], [0.0, 0.0], np.eye(2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive definite"):
+                g.add_prior([0, 1], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_memo_stays_bounded(self):
+        g = GaussianFactorGraph(2)
+        for k in range(200):
+            g.add_prior([0, 1], [0.0, 0.0], (1.0 + k) * np.eye(2))
+        info = _noise_factor.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_cached_factor_is_read_only(self):
+        noise = 0.7 * np.eye(2)
+        low, logdet = _noise_factor(noise.shape, noise.tobytes())
+        assert not low.flags.writeable
+        with pytest.raises(ValueError):
+            low[0, 0] = 1.0
+        assert logdet == pytest.approx(2.0 * np.log(0.7), rel=1e-14)

@@ -96,15 +96,32 @@ class TestValidation:
             {"n_objects": True, "object_prior_means": [[2.0, 1.0]]},
             {"n_classes": True, "class_prior": [1.0]},
             {"n_objects": 2.0},
+            {"goal": ["1", "2"]},
+            {"alphas": [True, 1.0, 1.0]},
+            {"actions": [[0.5, False]]},
+            {"robot_prior_cov": [["1", 0], [0, 1]]},
+            {"robot_prior_cov": True},
+            {"object_prior_covs": [[True, 0], [0, 1]]},
+            {"object_prior_covs": [[1, 0], [0, float("inf")]]},
+            {"class_prior": ["0.5", "0.25", "0.25"]},
+            {"class_prior": [[True, False, False], [1, 0, 0]]},
         ],
         ids=["actions-triples", "actions-nan", "opening-triple", "goal-3", "goal-nan",
              "robot-mean-3", "alphas-2", "alphas-nan", "radius-nan", "radius-2", "means-nan",
              "sigma2-x-inf", "sigma2-obs-nan", "sigma2-obs-bool", "n-objects-bool",
-             "n-classes-bool", "n-objects-float"],
+             "n-classes-bool", "n-objects-float", "goal-strings", "alphas-bool",
+             "actions-bool", "robot-cov-string", "robot-cov-bool", "object-cov-bool",
+             "object-cov-inf", "class-prior-strings", "class-prior-bools"],
     )
     def test_rejects_malformed_numbers(self, overrides):
         with pytest.raises(ScenarioError):
             tiny_scenario(**overrides)
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(dict(tiny_scenario().to_dict(), **overrides))
+
+    def test_nan_covariance_is_reported_as_not_finite(self):
+        with pytest.raises(ScenarioError, match="robot_prior_cov must be finite"):
+            tiny_scenario(robot_prior_cov=[[float("nan"), 0], [0, 1]])
 
     def test_empty_actions_are_kept(self):
         s = tiny_scenario(opening_actions=[])
