@@ -8,6 +8,7 @@ Kernels:
     class_log_tables   per-sample, per-object, per-class log posterior table
     mh_scan            sequential accept/reject over precomputed proposals
     safety_products    all-future-poses-outside-disk indicators per class
+    class_sum          a table's sum over its last (class) axis
 
 Layout.  The sample axis is the long one (hundreds to 100k) and the others
 are short (2 coordinates, 2-8 classes, 1-27 future steps), so the kernels
@@ -23,7 +24,8 @@ Two numpy behaviours decide whether a rewrite keeps every float:
       left to right; a rewrite must keep which of the two each sum was.
       The cost sums contiguous (n, horizon) rows, so it copies its
       (horizon, n) distances to that layout first; the class tables sum
-      (m_n, n_samples) buffers over axis 0, left to right;
+      (m_n, n_samples) buffers over axis 0, left to right, and class_sum
+      adds class slices left to right where numpy's own sum does too;
     - einsum picks its summation order from the operands' strides, so a
       table handed to the estimators must keep its C-contiguous layout, not
       come back as a transposed view with the same values.
@@ -164,3 +166,25 @@ def safety_products(planes, object_xy, radii):
             np.greater(dx.min(axis=0), r2, out=st)
             out[lo:hi, n, :] = st.T
     return out
+
+
+# ----------------------------------------------------------------------
+# class sums
+
+
+def class_sum(table):
+    """table.sum(axis=-1), float for float, in one pass per class.
+
+    numpy sums an axis of fewer than 8 elements left to right from 0.0 in
+    any layout, but reducing a short last axis runs one small reduction per
+    row; adding the class slices does the same additions in one pass over
+    the other axes.  At 8 or more classes numpy sums a contiguous axis
+    pairwise, so those tables keep numpy's sum.
+    """
+    n_cls = table.shape[-1]
+    if not 0 < n_cls < 8:
+        return table.sum(axis=-1)
+    total = table[..., 0] + 0.0  # from 0.0, as numpy's sum: -0.0 becomes 0.0
+    for c in range(1, n_cls):
+        total += table[..., c]
+    return total

@@ -200,7 +200,7 @@ class HybridBelief:
             np.maximum(top, tables[:, :, c], out=top)
         tables -= top[:, :, None]
         np.exp(tables, out=tables)
-        tables /= tables.sum(axis=2, keepdims=True)
+        tables /= _kernels.class_sum(tables)[:, :, None]
         return tables
 
     def sample_hypothesis_given_state(

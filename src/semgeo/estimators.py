@@ -119,7 +119,7 @@ def _check_rows_normalized(probs: np.ndarray, name: str) -> None:
     # |sum - 1| <= atol + rtol * 1 test, and NaN or inf sums still fail.
     # A factored conditional must pass it because objects absent from every
     # term are marginalized by leaving them out of the product.
-    sums = probs.sum(axis=-1)
+    sums = _kernels.class_sum(probs)
     if not np.all(np.abs(sums - 1.0) <= 1e-6 + 1e-5):
         raise ValueError(
             f"{name} rows must sum to 1; max deviation {np.abs(sums - 1).max():.3g}"

@@ -19,12 +19,13 @@ the stream hash is recorded in the summary.  Reference values come from
 `methods.ExactReference`: the exact Gaussian-sum belief sampled at a large
 sample count (its conditional taken through the factored-table route, which
 tests check agrees with the explicit hypothesis sum to 1e-9), never from the
-ground-truth world.  When a trial runs the timed `theoretical-all-hyp`
-method, the reference follows it, adopting that method's belief after each
-of its updates instead of building the same belief again; the values are
-bit-identical.  The sharing goes one way only: a timed method never shares
-work with another method or with the reference, so every row's wall_ms
-measures that method's own work.
+ground-truth world; its estimate computes p_safe alone, with no cost.
+When a trial runs the timed `theoretical-all-hyp` method, the reference
+follows it, adopting that method's belief after each of its updates instead
+of building the same belief again; the values are bit-identical.  The
+sharing goes one way only: a timed method never shares work with another
+method or with the reference, so every row's wall_ms measures that method's
+own work.
 
 Emitted metric rows share one schema across experiment kinds:
 trial, time_step, method, estimate, reference_value, squared_error,
@@ -43,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .baselines import EXACT_MAX_HYPOTHESES, PF_MAX_HYPOTHESES
 from .estimators import OpenLoopPlan
 from .methods import METHOD_TAGS, ExactReference, create_method
 from .planner import PlannerConfig, run_planning_trial
@@ -105,15 +107,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
 # the PlannerConfig fields a config's `planner` object may set (the harness
 # fills n_samples and n_particles from the top level), each with its rule
 _PLANNER_RULES = {
     "n_nodes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "k_nearest": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "n_candidates": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "max_step": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "max_step": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
     "safety_threshold": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
-    "goal_radius": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "goal_radius": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
     "max_steps": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
 }
 
@@ -185,7 +191,10 @@ class ExperimentConfig:
             scenario = load_scenario(d.pop("scenario", "defaults"))
         except ScenarioError as exc:
             raise ConfigError(str(exc)) from exc
-        methods = tuple(d.pop("methods", ("mcmc-ours",)))
+        methods = d.pop("methods", ["mcmc-ours"])
+        if not (isinstance(methods, (list, tuple)) and all(isinstance(m, str) for m in methods)):
+            raise ConfigError(f"methods must be a list of method tags, got {methods!r}")
+        methods = tuple(methods)
         unknown = [m for m in methods if m not in METHOD_TAGS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; known: {list(METHOD_TAGS)}")
@@ -232,6 +241,7 @@ class ExperimentConfig:
                     f"{self.kind} needs sweep.{key}: a non-empty list of "
                     f"integers >= 1, got {values!r}"
                 )
+        self._check_hypothesis_guards()
         if self.kind not in PLANNING_KINDS:
             need = self.n_steps + self.eval_horizon
             if len(self.scenario.actions) < need:
@@ -251,6 +261,34 @@ class ExperimentConfig:
             rule, valid = _PLANNER_RULES[name]
             if not valid(value):
                 raise ConfigError(f"planner.{name} must be {rule}, got {value!r}")
+
+    def _check_hypothesis_guards(self) -> None:
+        """Every belief that enumerates hypotheses must fit its guard at
+        the largest scenario the run builds: the exact reference of the
+        estimation kinds and each theoretical-* method under
+        EXACT_MAX_HYPOTHESES, each pf-* method under PF_MAX_HYPOTHESES."""
+        exact = [] if self.kind in PLANNING_KINDS else ["the exact reference"]
+        exact += [m for m in self.methods if m.startswith("theoretical-")]
+        guards = (
+            ("EXACT_MAX_HYPOTHESES", EXACT_MAX_HYPOTHESES, exact),
+            ("PF_MAX_HYPOTHESES", PF_MAX_HYPOTHESES, [m for m in self.methods if m.startswith("pf-")]),
+        )
+        n_obj, n_cls = self.scenario.n_objects, self.scenario.n_classes
+        sizes = [(n_obj, n_cls)]
+        if self.kind == "rmse-vs-classes":
+            sizes = [(n_obj, v) for v in self.sweep["n_classes"]]
+        elif self.kind == "rmse-vs-objects":
+            sizes = [(v, n_cls) for v in self.sweep["n_objects"]]
+        for n_obj, n_cls in sizes:
+            # 2**64 already exceeds every guard: no need for the full power
+            count = n_cls ** min(n_obj, 64)
+            for name, limit, needed_by in guards:
+                if needed_by and count > limit:
+                    raise ConfigError(
+                        f"{n_cls} classes ** {n_obj} objects = "
+                        f"{count if n_obj <= 64 else 'over 2**64'} hypotheses exceed "
+                        f"{name} = {limit}, which {', '.join(needed_by)} needs"
+                    )
 
 
 def resize_scenario(
@@ -319,10 +357,10 @@ def _estimation_trial(
     Every step updates the timed methods in config order, each update timed,
     then the untimed reference (which may follow one of them).  Queries run
     after every step for psafe-vs-time and once after the last step for the
-    sweeps: the reference value first, then one row per (sample count,
-    method).  A row's wall_ms is its method.estimate call, p_safe and the
-    unreported cost together, plus the method's summed update time when the
-    sweep resizes the scenario."""
+    sweeps: the reference's p_safe first (the reference computes no cost),
+    then one row per (sample count, method).  A row's wall_ms is its
+    method.estimate call, p_safe and the unreported cost together, plus the
+    method's summed update time when the sweep resizes the scenario."""
     streams = trial_streams(cfg.seed, trial)
     _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     rng = streams.sampler

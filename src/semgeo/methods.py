@@ -21,7 +21,8 @@ Tags:
 
 `ExactReference` (tag "reference", which no config can name) is the
 harness's untimed reference: exact-belief draws read through the factored
-conditional and the structured estimator.
+conditional and the structured estimator.  Its estimate reports p_safe
+alone, the one value the harness reads from it, and skips the cost.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class _Method:
 
     `draw(method, n, rng)` returns (state_set, report), with
     `report(reward, rollout) -> EstimateReport`; `keep`, when set, prunes the
-    belief to that many hypotheses after every update.  Subclasses do not
-    override update or estimate, which perfbench's tracer wraps on the class
-    that defines them.
+    belief to that many hypotheses after every update.  perfbench's tracer
+    wraps update and estimate on each class that defines both, so a subclass
+    that overrides either one defines both.
     """
 
     def __init__(self, scenario: Scenario, tag: str, belief, draw, keep=None):
@@ -175,7 +176,8 @@ class ExactReference(_Method):
     Gaussian-sum belief (`exact`), read through the factored belief's
     conditional b[C|X] and the structured estimator.  The conditional equals
     the explicit hypothesis sum to roundoff at linear cost; it serves
-    untimed reference values, never the timed exact baseline.
+    untimed reference values, never the timed exact baseline.  Its estimate
+    returns p_safe only: the harness reads nothing else from it.
 
     With `follow`, the reference adopts that timed all-hypothesis method's
     exact belief after each update instead of updating a copy: the update is
@@ -196,6 +198,14 @@ class ExactReference(_Method):
         )
         self.exact = AnalyticHybridBelief.from_scenario(scenario)
         self._follow = follow
+
+    # defined here, not inherited, so the tracer wraps this class's pair
+    update = _Method.update
+
+    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
+        return {
+            "p_safe": self.estimate_reward(safety_reward(self.scenario), plan, n_samples, rng)
+        }
 
     def _advance(self, action, batch) -> None:
         if self._follow is not None:

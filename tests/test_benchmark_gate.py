@@ -140,6 +140,51 @@ def test_untimed_probes_run_before_each_reference_update(tmp_path, methods):
     assert len(probes.samples) == cfg.trials * (cfg.n_steps + 1)
 
 
+@pytest.mark.parametrize(
+    "methods", [["theoretical-all-hyp", "mcmc-ours"], ["mcmc-ours"]], ids=["follow", "own"]
+)
+def test_tracer_wraps_the_reference_pair_once(tmp_path, monkeypatch, methods):
+    """ExactReference defines its own update and estimate, so the tracer
+    wraps them on that class: each reference call is one
+    harness.reference span, and no timed method's span counts it."""
+    tracing = load_tracing()
+    assert ExactReference in tracing.method_classes()
+    cfg = ExperimentConfig.from_dict(
+        dict(
+            kind="psafe-vs-time",
+            scenario="oracle_small",
+            methods=methods,
+            trials=2,
+            n_steps=3,
+            eval_horizon=2,
+            n_samples=20,
+            reference_samples=200,
+        )
+    )
+    calls = {"update": 0, "estimate": 0}
+    for op in calls:
+        orig = getattr(ExactReference, op)
+
+        def counted(*args, _op=op, _orig=orig, **kwargs):
+            calls[_op] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(ExactReference, op, counted)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg, tmp_path)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layers()
+    per_run = cfg.trials * cfg.n_steps
+    assert calls == {"update": per_run, "estimate": per_run}
+    for op in calls:
+        assert layers[f"harness.reference.{op}"]["calls"] == per_run
+        for tag in methods:
+            assert layers[f"methods.{tag}.{op}"]["calls"] == per_run
+
+
 def test_benchmark_selftest():
     proc = run_script("perfbench/selftest.py")
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -8,6 +8,7 @@ and CLI exit codes.
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from numpy.testing import assert_allclose
 
 import semgeo.cli as cli_mod
 import semgeo.harness as harness_mod
+import semgeo.methods as methods_mod
 from semgeo.baselines import AnalyticHybridBelief, HypothesisParticleFilter
 from semgeo.cli import main
 from semgeo.harness import (
@@ -63,6 +65,11 @@ class TestLoadScenario:
     def test_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="cannot interpret"):
             load_scenario(42)
+
+
+# 8 objects of 8 classes: 8**8 hypotheses, past both guards; 10**5 at MID
+WIDE = resize_scenario(load_scenario("oracle_small"), n_classes=8, n_objects=8).to_dict()
+MID = resize_scenario(load_scenario("oracle_small"), n_classes=10, n_objects=5).to_dict()
 
 
 class TestExperimentConfig:
@@ -118,6 +125,57 @@ class TestExperimentConfig:
     def test_planner_must_be_an_object(self):
         with pytest.raises(ConfigError, match="planner must be an object"):
             ExperimentConfig.from_dict(self.base(kind="planning-table", planner=[1]))
+
+    @pytest.mark.parametrize("methods", [None, 3, 1.5, True, "mcmc-ours", {"mcmc-ours": 1}, [1]])
+    def test_methods_must_be_a_list_of_tags(self, methods):
+        """A bare string would be split into characters, and null, a number
+        or a bool used to escape as a TypeError."""
+        with pytest.raises(ConfigError, match="methods must be a list of method tags"):
+            ExperimentConfig.from_dict(self.base(methods=methods))
+
+    @pytest.mark.parametrize(
+        "key, value", [("max_step", math.inf), ("max_step", math.nan), ("goal_radius", math.inf)]
+    )
+    def test_planner_values_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match=rf"planner\.{key} must be a finite number"):
+            ExperimentConfig.from_dict(self.base(kind="planning-table", planner={key: value}))
+
+    @pytest.mark.parametrize(
+        "over, needs",
+        [
+            # the reference of every estimation kind enumerates 8**8 hypotheses
+            (dict(scenario=WIDE), "EXACT_MAX_HYPOTHESES = 1000000, which the exact reference"),
+            (dict(kind="planning-table", scenario=WIDE, methods=["gs-map", "theoretical-pruned"]),
+             "EXACT_MAX_HYPOTHESES = 1000000, which theoretical-pruned needs"),
+            (dict(kind="planning-table", scenario=MID, methods=["pf-pruned"]),
+             "PF_MAX_HYPOTHESES = 10000, which pf-pruned needs"),
+            (dict(scenario=MID, methods=["mcmc-ours", "pf-all-hyp"]),
+             "PF_MAX_HYPOTHESES = 10000, which pf-all-hyp needs"),
+            # the largest swept size counts, not the base scenario's
+            (dict(kind="rmse-vs-classes", sweep={"n_classes": [2, 1001]}),
+             r"1001 classes \*\* 2 objects = 1002001 hypotheses exceed EXACT_MAX_HYPOTHESES"),
+            (dict(kind="rmse-vs-objects", sweep={"n_objects": [2, 14]}, methods=["pf-pruned"]),
+             r"2 classes \*\* 14 objects = 16384 hypotheses exceed PF_MAX_HYPOTHESES"),
+            (dict(kind="rmse-vs-objects", sweep={"n_objects": [1, 100]}),
+             r"100 objects = over 2\*\*64 hypotheses exceed EXACT_MAX_HYPOTHESES"),
+        ],
+        ids=["reference", "theoretical", "pf-plan", "pf-simulate", "class-sweep",
+             "object-sweep", "huge-sweep"],
+    )
+    def test_hypothesis_guards_are_checked_at_parse_time(self, over, needs):
+        with pytest.raises(ConfigError, match=needs):
+            ExperimentConfig.from_dict(self.base(**over))
+
+    def test_sizes_within_the_guards_parse(self):
+        """At the guard itself a config parses, and a planning table of
+        factored-belief methods has no guard to meet."""
+        ExperimentConfig.from_dict(self.base(kind="rmse-vs-classes", sweep={"n_classes": [1000]}))
+        ExperimentConfig.from_dict(
+            self.base(kind="rmse-vs-objects", sweep={"n_objects": [13]}, methods=["pf-pruned"])
+        )
+        ExperimentConfig.from_dict(
+            self.base(kind="planning-table", scenario=WIDE, methods=["mcmc-ours", "gs-map"])
+        )
 
     def test_every_settable_planner_field_parses(self):
         planner = {
@@ -596,6 +654,35 @@ class TestSharedReference:
         run_experiment(cfg, tmp_path)
         assert len(steps) == per_step * cfg.n_steps * cfg.trials
 
+    def test_reference_computes_no_cost(self, tmp_path, monkeypatch):
+        """Calls to expected_cost made inside the reference's estimate are
+        told from those of the timed rows: the reference makes none, and
+        every timed row still pays for its own cost."""
+        calls = {"reference": 0, "timed": 0}
+        inside = []
+        cost, ref_estimate = methods_mod.expected_cost, ExactReference.estimate
+
+        def counted(*args):
+            calls["reference" if inside else "timed"] += 1
+            return cost(*args)
+
+        def marked(method, *args):
+            inside.append(method)
+            try:
+                return ref_estimate(method, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(methods_mod, "expected_cost", counted)
+        monkeypatch.setattr(ExactReference, "estimate", marked)
+        methods = ["mcmc-ours", "theoretical-all-hyp", "pf-pruned", "gs-map"]
+        cfg = ExperimentConfig.from_dict(dict(TINY, methods=methods))
+        summary = run_experiment(cfg, tmp_path)
+        with open(summary["files"]["rows"], newline="") as fh:
+            n_rows = len(list(csv.DictReader(fh)))
+        assert n_rows == len(methods) * cfg.trials * cfg.n_steps
+        assert calls == {"reference": 0, "timed": n_rows}
+
     def test_reference_refuses_a_stale_belief(self, oracle_small):
         streams = trial_streams(5, 0)
         _, history = simulate(oracle_small, 2, streams.world, streams.noise)
@@ -773,6 +860,37 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "planner.n_candidates must be an integer >= 1" in proc.stderr
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize(
+        "verb, over, message",
+        [
+            ("simulate", dict(methods=None), "methods must be a list of method tags"),
+            ("simulate", dict(methods="mcmc-ours"), "methods must be a list of method tags"),
+            ("simulate", dict(scenario=WIDE), "EXACT_MAX_HYPOTHESES = 1000000, which the exact"),
+            ("plan", dict(kind="planning-table", scenario=MID, methods=["pf-pruned"]),
+             "PF_MAX_HYPOTHESES = 10000, which pf-pruned needs"),
+            ("plan", dict(kind="planning-table", planner={"goal_radius": math.inf}),
+             "planner.goal_radius must be a finite number >= 0"),
+            ("plan", dict(kind="planning-table", planner={"max_step": math.inf}),
+             "planner.max_step must be a finite number > 0"),
+        ],
+        ids=["methods-null", "methods-string", "exact-guard", "pf-guard",
+             "goal-radius-inf", "max-step-inf"],
+    )
+    def test_config_errors_exit_2(self, verb, over, message, tmp_path, child_env):
+        """Each is refused before any trial runs, with no traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, trials=1, **over)))  # inf as Infinity
+        proc = subprocess.run(
+            [sys.executable, "-m", "semgeo.cli", verb, "--config", str(path),
+             "--out", str(tmp_path / "res")],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "res").exists()
 
     def test_module_entry_point(self, child_env):

@@ -1,9 +1,14 @@
 """Brute-force cross-checks for the hot kernels."""
 
 import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
 
 from semgeo import _kernels
+from semgeo.estimators import _check_rows_normalized
 from semgeo.gaussian import StackedIndex
+from semgeo.harness import resize_scenario
+from semgeo.oracles import build_history_beliefs
 from semgeo.scenario import LOG_2PI
 
 
@@ -107,6 +112,76 @@ class TestSafetyProducts:
             future, objects, np.array([1.0 - 1e-9])
         )
         np.testing.assert_array_equal(out, 1.0)
+
+
+CLASS_COUNTS = range(1, 10)  # both sides of numpy's pairwise threshold at 8
+
+
+def layouts(table):
+    """The same values as C-ordered, Fortran-ordered, and strided views."""
+    yield table
+    yield np.asfortranarray(table)
+    yield np.repeat(table, 2, axis=-1)[..., ::2]
+    yield np.ascontiguousarray(np.moveaxis(table, -1, 0)).transpose(1, 2, 0)
+
+
+def rows_near_one(n_cls):
+    """(rows, 1, n_cls) rows of 1/n_cls with one entry moved so the row
+    sum falls a few ulps either side of the check's 1 +- 1.1e-5 bounds,
+    plus exact, NaN and infinite rows."""
+    tol, eps = 1e-6 + 1e-5, np.finfo(float).eps
+    offsets = [0.0, 1.2e-5, -1.2e-5, np.nan, np.inf, -np.inf]
+    offsets += [sign * tol + k * eps for sign in (1, -1) for k in range(-4, 5)]
+    rows = []
+    for off in offsets:
+        for where in (0, n_cls - 1):
+            row = np.full(n_cls, 1.0 / n_cls)
+            row[where] += off
+            rows.append(row)
+    return np.array(rows)[:, None, :]
+
+
+class TestClassSum:
+    @pytest.mark.parametrize("n_cls", CLASS_COUNTS)
+    def test_equals_numpy_sum(self, rng, n_cls):
+        table = rng.random((500, 3, n_cls)) * 10.0 ** rng.uniform(-8, 8, (500, 3, n_cls))
+        table[0, 0] = -0.0
+        for t in layouts(table):
+            total = _kernels.class_sum(t)
+            assert_array_equal(total, t.sum(axis=-1))
+            assert_array_equal(np.signbit(total), np.signbit(t.sum(axis=-1)))
+
+    @pytest.mark.parametrize("n_cls", CLASS_COUNTS)
+    def test_row_check_verdicts_unchanged(self, n_cls):
+        """The row-sum check accepts and rejects exactly what
+        np.all(|probs.sum(-1) - 1| <= 1e-6 + 1e-5) does, row by row."""
+        rows = rows_near_one(n_cls)
+        assert_array_equal(_kernels.class_sum(rows), rows.sum(axis=-1))
+        verdicts = set()
+        for row in rows:
+            expect = bool(np.all(np.abs(row.sum(axis=-1) - 1.0) <= 1e-6 + 1e-5))
+            verdicts.add(expect)
+            try:
+                _check_rows_normalized(row, "probs")
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expect, row
+        assert verdicts == {True, False}
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            _check_rows_normalized(rows, "probs")
+
+    @pytest.mark.parametrize("n_cls", range(2, 10))
+    def test_conditional_normalizer_unchanged(self, oracle_small, n_cls):
+        """b[c_n | X] equals its former numpy form, float for float."""
+        sc = resize_scenario(oracle_small, n_classes=n_cls)
+        _, _, hybrid, _, streams = build_history_beliefs(sc, 3, seed=7 + n_cls)
+        samples = hybrid.geo.sample(streams.sampler, 300)
+        tables = hybrid.class_log_tables(samples)
+        tables -= tables.max(axis=2, keepdims=True)
+        np.exp(tables, out=tables)
+        tables /= tables.sum(axis=2, keepdims=True)
+        assert_array_equal(hybrid.class_posterior_given_state(samples), tables)
 
 
 class TestBackendSelection:

@@ -12,10 +12,11 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import semgeo.methods as methods_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan, safety_reward
-from semgeo.methods import METHOD_TAGS, ExactReference, create_method
+from semgeo.methods import METHOD_TAGS, ExactReference, _Method, create_method
 from semgeo.scenario import ScenarioError, simulate, trial_streams
 
 PLAN = OpenLoopPlan(np.tile([0.4, 0.2], (3, 1)))
@@ -207,5 +208,24 @@ class TestAgreement:
             a = slow.estimate(PLAN, 4_000, rng_a)
             b = fast.estimate(PLAN, 4_000, rng_b)
             assert abs(a["p_safe"].value - b["p_safe"].value) <= 1e-9
-            assert a["cost"].value == b["cost"].value
-            assert a["cost"].std_error == b["cost"].std_error
+            assert_array_equal(slow._draws[4_000][0].samples, fast._draws[4_000][0].samples)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_reference_estimate_is_the_shared_path_p_safe(
+        self, oracle_small, defaults_scenario, planning_scenario
+    ):
+        """The reference's own estimate returns the shared path's p_safe
+        bit for bit, and no cost; twin-seeded references see the same
+        draws, so the rng ends in the same state."""
+        for sc in (oracle_small, defaults_scenario, planning_scenario):
+            streams = trial_streams(11, 0)
+            _, history = simulate(sc, 3, streams.world, streams.noise)
+            own, rng_a = advanced("reference", sc, history)
+            shared, rng_b = advanced("reference", sc, history)
+            for plan in (PLAN, OpenLoopPlan(sc.actions[3:9]), OpenLoopPlan.empty()):
+                a = own.estimate(plan, 3_000, rng_a)
+                b = _Method.estimate(shared, plan, 3_000, rng_b)
+                assert set(a) == {"p_safe"}
+                assert a["p_safe"].value == b["p_safe"].value
+                assert a["p_safe"].std_error == b["p_safe"].std_error
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
