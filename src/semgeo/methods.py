@@ -7,8 +7,9 @@ and expected-cost reports.  All but the particle filters are one class,
 their draw, and whether they prune.  A draw returns the step's states with
 their report, the sum over the classes.  It runs once per time step and
 sample count, so many candidate plans at one step share one draw; each plan
-is rolled forward from it afresh, reported, then costed.  The particle
-filters (`_ParticleMethod`) draw per hypothesis on every query instead.
+is rolled forward from it afresh, reported, and costed only when it clears
+the caller's threshold.  The particle filters (`_ParticleMethod`) draw per
+hypothesis on every query instead, and cost every plan.
 
 Tags:
     mcmc-ours            factored belief, Metropolis-Hastings state samples
@@ -57,7 +58,8 @@ PRUNE_KEEP = 3
 
 
 class _Method:
-    """The shared query path: draw -> rollout -> reward report (+ cost).
+    """The shared query path: draw -> rollout -> reward report (+ cost when
+    p_safe clears the caller's threshold).
 
     `draw(method, n, rng)` returns (state_set, report), with
     `report(reward, rollout) -> EstimateReport`; `keep`, when set, prunes the
@@ -95,13 +97,18 @@ class _Method:
             self._draws[n_samples] = self._draw(self, n_samples, rng)
         return self._draws[n_samples]
 
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
+    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng, threshold: float = 0.0) -> dict:
+        """p_safe of one rollout, and its cost from that same rollout when
+        p_safe clears `threshold` (select_plan's comparison, so a NaN p_safe
+        is never costed); otherwise cost is None.  The cost draws nothing,
+        so the threshold leaves the random stream as it is."""
         sset, report = self._states(n_samples, rng)
         rollout = rollout_states(sset, plan, self.scenario, rng)
-        return {
-            "p_safe": report(safety_reward(self.scenario), rollout),
-            "cost": expected_cost(sset, rollout, plan, self.scenario),
-        }
+        p_safe = report(safety_reward(self.scenario), rollout)
+        cost = None
+        if p_safe.value >= threshold:
+            cost = expected_cost(sset, rollout, plan, self.scenario)
+        return {"p_safe": p_safe, "cost": cost}
 
     def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
         sset, report = self._states(n_samples, rng)
@@ -278,9 +285,11 @@ class _ParticleMethod:
             extras=dict(self.pf.diagnostics),
         )
 
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
+    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng, threshold: float = 0.0) -> dict:
         p_safe = self.estimate_reward(safety_reward(self.scenario), plan, n_samples, rng)
-        # cost is class-free; one mixture draw suffices
+        # Cost is class-free; one mixture draw suffices.  That draw comes from
+        # the caller's stream, so skipping it below the threshold would shift
+        # every later draw: every candidate is costed, whatever `threshold`.
         sset = self.pf.sample(n_samples, rng)
         rollout = rollout_states(sset, plan, self.scenario, rng)
         return {

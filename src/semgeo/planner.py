@@ -116,8 +116,10 @@ def discretize(waypoints: np.ndarray, max_step: float) -> np.ndarray:
 def select_plan(evaluations: list, threshold: float) -> int | None:
     """Choose the cheapest candidate whose safety estimate clears threshold.
 
-    evaluations: list of dicts with keys plan, p_safe, cost (reports).  Ties
-    on cost go to the shorter plan, then to the lower candidate index.
+    evaluations: list of dicts with keys plan, p_safe, cost (reports).  cost
+    may be None for a candidate whose p_safe misses the threshold, and is
+    never read for one.  Ties on cost go to the shorter plan, then to the
+    lower candidate index.
     Returns the chosen list index, or None when nothing qualifies (Stop).
     """
     admissible = [
@@ -206,7 +208,7 @@ def run_planning_trial(
             if len(actions) == 0:
                 continue
             plan = OpenLoopPlan(actions)
-            est = method.estimate(plan, config.n_samples, sampler_rng)
+            est = method.estimate(plan, config.n_samples, sampler_rng, config.safety_threshold)
             evaluations.append(
                 {"plan": plan, "p_safe": est["p_safe"], "cost": est["cost"]}
             )

@@ -57,13 +57,34 @@ def test_untraced_run_on_an_unpinned_seed(workload):
     assert result["correct"] is True and result["failed"] == 0
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
+
+
+@pytest.mark.parametrize("workload", ["plan-table", "psafe-time"])
+def test_invariants_hold_on_unpinned_seeds(workload, tmp_path):
+    """Unit 0 of the seeds the pair records run (3101-3110) passes the
+    benchmark's invariants in process.  No golden digest pins these seeds,
+    so a failed check or a raised unit would otherwise surface only as a
+    benchmark run that exits 1."""
+    wl = load_perfbench("workloads")
+    for seed in range(3101, 3111):
+        cfg = wl.build_config(wl.WORKLOADS[workload], seed)
+        summary = run_experiment(cfg, tmp_path)
+        rows = wl.read_rows(summary["files"]["rows"])
+        attempted, failures = wl.check_unit(cfg, summary, rows)
+        assert attempted == len(cfg.methods) and failures == [], (seed, failures)
 
 
 def test_tracer_tells_the_reference_apart(oracle_small):

@@ -100,6 +100,27 @@ class TestSharedContract:
         via_reward = a.estimate_reward(safety_reward(oracle_small), PLAN, 60, rng_a)
         assert via_reward.value == b.estimate(PLAN, 60, rng_b)["p_safe"].value
 
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_threshold_leaves_the_stream_unchanged(self, tag, oracle_small, seeded_history):
+        """A shared-path method costs a plan only when its p_safe clears the
+        threshold, from the rollout it already drew; the particle filters
+        cost every plan.  Either way the threshold moves no random draw."""
+        _, history, _, _, _ = seeded_history
+        a, rng_a = advanced(tag, oracle_small, history)
+        b, rng_b = advanced(tag, oracle_small, history)
+        for threshold in (0.0, 1.0000001):
+            gated = a.estimate(PLAN, 60, rng_a, threshold)
+            full = b.estimate(PLAN, 60, rng_b, 0.0)
+            assert gated["p_safe"].value == full["p_safe"].value
+            if isinstance(a, _Method) and not gated["p_safe"].value >= threshold:
+                assert gated["cost"] is None
+            else:
+                assert gated["cost"].value == full["cost"].value
+                assert gated["cost"].std_error == full["cost"].std_error
+            if tag.startswith("pf-"):
+                assert gated["cost"] is not None
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     @pytest.mark.parametrize(
         "tag, options",
         [

@@ -5,6 +5,7 @@ blocks: geometry and bookkeeping can then be asserted exactly.  The planning
 behavior under real hypothesis ambiguity is exercised at the acceptance level.
 """
 
+from dataclasses import fields
 from itertools import islice
 
 import numpy as np
@@ -13,11 +14,13 @@ from numpy.testing import assert_allclose
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
+import semgeo.methods as methods_mod
 import semgeo.planner as planner_mod
 from semgeo.estimators import EstimateReport, OpenLoopPlan
 from semgeo.methods import METHOD_TAGS
 from semgeo.planner import (
     PlannerConfig,
+    PlanningResult,
     Roadmap,
     build_roadmap,
     discretize,
@@ -158,16 +161,19 @@ class TestDiscretize:
             discretize([[0.0, 0.0], [1.0, 0.0]], max_step=0.0)
 
 
-def _ev(p_safe: float, cost: float, horizon: int) -> dict:
+def _ev(p_safe: float, cost: float | None, horizon: int) -> dict:
     plan = OpenLoopPlan(np.zeros((horizon, 2)) + 0.1)
     report = lambda v: EstimateReport(v, 0.0, 1, 1.0)
-    return {"plan": plan, "p_safe": report(p_safe), "cost": report(cost)}
+    return {"plan": plan, "p_safe": report(p_safe), "cost": None if cost is None else report(cost)}
 
 
 class TestSelectPlan:
     def test_cheapest_admissible_wins(self):
         evs = [_ev(0.99, 5.0, 3), _ev(0.99, 4.0, 6), _ev(0.10, 1.0, 2)]
         assert select_plan(evs, 0.95) == 1
+        # an estimate skips the cost of a candidate below the threshold
+        uncosted = [_ev(0.10, None, 2), _ev(0.99, 5.0, 3), _ev(0.99, 4.0, 6), _ev(0.94, None, 1)]
+        assert select_plan(uncosted, 0.95) == 2
 
     def test_threshold_is_inclusive(self):
         assert select_plan([_ev(0.95, 1.0, 1)], 0.95) == 0
@@ -253,3 +259,39 @@ class TestTrial:
         monkeypatch.setattr(planner_mod, "k_shortest_paths", dropout)
         res = run_planning_trial(open_scenario(), "gs-map", 0, 42, QUICK)
         assert res.reached_goal and not res.stopped
+
+
+class TestCostGate:
+    # trial 2 of seed 11 runs two replans with admissible candidates for
+    # every tag but all-hyp; the other trials stop at their first replan
+    CONFIG = PlannerConfig(n_nodes=40, k_nearest=6, n_candidates=40, n_samples=100, max_steps=8)
+
+    @pytest.mark.parametrize("tag", sorted(methods_mod._TABLE))
+    def test_gated_trial_equals_fully_costed(self, tag, planning_scenario, monkeypatch):
+        """Costing only the candidates that clear the threshold changes no
+        trial: select_plan reads no other cost, and a cost draws nothing."""
+        costed = []
+        cost = methods_mod.expected_cost
+        monkeypatch.setattr(
+            methods_mod, "expected_cost", lambda *args: costed.append(1) or cost(*args)
+        )
+
+        def trials():
+            return [
+                run_planning_trial(planning_scenario, tag, t, 11, self.CONFIG) for t in range(8)
+            ]
+
+        gated = trials()
+        n_gated = len(costed)
+        estimate = methods_mod._Method.estimate
+        monkeypatch.setattr(
+            methods_mod._Method,
+            "estimate",
+            lambda self, plan, n, rng, threshold=0.0: estimate(self, plan, n, rng, 0.0),
+        )
+        full = trials()
+        for a, b in zip(gated, full):
+            for field in fields(PlanningResult):
+                if field.name != "wall_ms":
+                    assert getattr(a, field.name) == getattr(b, field.name), field.name
+        assert n_gated < len(costed) - n_gated
