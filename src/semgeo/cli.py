@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .harness import (
     BENCHMARK_KINDS,
+    CONFIG_RULES,
     ESTIMATION_KINDS,
     PLANNING_KINDS,
     ConfigError,
@@ -26,7 +27,7 @@ from .harness import (
     run_experiment,
 )
 from .oracles import run_oracle_checks
-from .scenario import ScenarioError
+from .scenario import ScenarioError, check
 
 _VERB_KINDS = {
     "simulate": ESTIMATION_KINDS,
@@ -81,6 +82,10 @@ def _run_configured(args, allowed_kinds) -> int:
             raise ConfigError(f"--methods {bad} not present in config methods")
         config.methods = subset
     config._validate()
+    try:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
+        raise ConfigError(f"cannot create out directory {config.out!r}: {exc}") from exc
     summary = run_experiment(config)
     print(json.dumps({k: summary[k] for k in ("kind", "files") if k in summary}))
     return 0
@@ -90,8 +95,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "oracle-check":
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {args.seed}")
+            if args.seed is not None:
+                check({"seed": args.seed}, CONFIG_RULES, ConfigError)
             scenario = None
             if args.config is not None:
                 with open(args.config, encoding="utf-8") as fh:
@@ -111,7 +116,8 @@ def main(argv=None) -> int:
                     )
             return 0 if passed else 3
         return _run_configured(args, _VERB_KINDS[args.verb])
-    except (ConfigError, ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ScenarioError, FileNotFoundError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

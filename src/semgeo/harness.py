@@ -51,7 +51,12 @@ from .planner import PlannerConfig, run_planning_trial
 from .scenario import (
     Scenario,
     ScenarioError,
+    check,
     default_alphas,
+    int_rule,
+    is_finite,
+    is_int,
+    is_real,
     simulate,
     trial_streams,
 )
@@ -72,19 +77,6 @@ PLANNING_COLUMNS = (
 )
 
 
-# integer config fields and their smallest valid values (None: any integer)
-_INT_MINIMA = {
-    "trials": 1,
-    "n_steps": 0,
-    "n_samples": 1,
-    "reference_samples": 1,
-    "eval_horizon": 0,
-    "seed": 0,
-    "workers": None,
-    "n_particles": 1,
-}
-
-
 # the sweep key each swept kind runs over; its values are counts >= 1
 _SWEEP_KEYS = {
     "rmse-vs-samples": "n_samples",
@@ -99,28 +91,36 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-# the PlannerConfig fields a config's `planner` object may set (the harness
-# fills n_samples and n_particles from the top level), each with its rule
-_PLANNER_RULES = {
-    "n_nodes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "k_nearest": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "n_candidates": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "max_step": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
-    "safety_threshold": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
-    "goal_radius": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
-    "max_steps": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+# field -> (shape, valid, wording) for scenario.check; _validate then checks across fields
+CONFIG_RULES = {
+    "kind": (None, lambda v: v in ALL_KINDS, f"one of {ALL_KINDS}"),
+    "methods": (
+        None,
+        lambda v: isinstance(v, (list, tuple)) and v and all(m in METHOD_TAGS for m in v),
+        f"a non-empty list of tags from {list(METHOD_TAGS)}",
+    ),
+    "trials": int_rule(1),
+    "n_steps": int_rule(0),
+    "n_samples": int_rule(1),
+    "reference_samples": int_rule(1),
+    "eval_horizon": int_rule(0),
+    "sweep": (None, lambda v: isinstance(v, dict), "an object"),
+    "seed": int_rule(0),
+    "out": (None, lambda v: isinstance(v, str), "a string"),
+    "workers": (None, lambda v: is_int(v) and v == 1, "1: trials run in one process"),
+    "n_particles": int_rule(1),
+    "planner": (None, lambda v: isinstance(v, dict), "an object of PlannerConfig fields"),
+}
+# what `planner` may set: the harness fills n_samples and n_particles itself
+PLANNER_KEYS = [f.name for f in fields(PlannerConfig) if f.name not in ("n_samples", "n_particles")]
+PLANNER_RULES = {
+    "n_nodes": int_rule(0),
+    "k_nearest": int_rule(1),
+    "n_candidates": int_rule(1),
+    "max_step": (None, lambda v: is_finite(v) and v > 0, "a finite number > 0"),
+    "safety_threshold": (None, lambda v: is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "goal_radius": (None, lambda v: is_finite(v) and v >= 0, "a finite number >= 0"),
+    "max_steps": int_rule(0),
 }
 
 
@@ -156,7 +156,7 @@ def load_scenario(spec) -> Scenario:
         if path.is_file():
             try:
                 return Scenario.from_json(path)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
         raise ConfigError(f"unknown scenario {spec!r} (not shipped, not a file)")
     raise ConfigError(f"cannot interpret scenario spec of type {type(spec).__name__}")
@@ -184,22 +184,12 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config must be an object, got {type(d).__name__}")
         d = dict(d)
-        kind = d.pop("kind", None)
-        if kind not in ALL_KINDS:
-            raise ConfigError(f"kind must be one of {ALL_KINDS}, got {kind!r}")
         try:
             scenario = load_scenario(d.pop("scenario", "defaults"))
         except ScenarioError as exc:
             raise ConfigError(str(exc)) from exc
-        methods = d.pop("methods", ["mcmc-ours"])
-        if not (isinstance(methods, (list, tuple)) and all(isinstance(m, str) for m in methods)):
-            raise ConfigError(f"methods must be a list of method tags, got {methods!r}")
-        methods = tuple(methods)
-        unknown = [m for m in methods if m not in METHOD_TAGS]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}; known: {list(METHOD_TAGS)}")
         try:
-            cfg = cls(kind=kind, scenario=scenario, methods=methods, **d)
+            cfg = cls(scenario=scenario, **{"kind": None, "methods": ["mcmc-ours"], **d})
         except TypeError as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
         cfg._validate()
@@ -210,32 +200,22 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def _validate(self) -> None:
-        for name, low in _INT_MINIMA.items():
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if low is not None and value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.workers != 1:
-            raise ConfigError(f"workers must be 1: trials run in one process, got {self.workers}")
-        if not self.methods:
-            raise ConfigError("methods must name at least one method")
+        check(vars(self), CONFIG_RULES, ConfigError)
+        self.methods = tuple(self.methods)
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigError(f"methods lists {repeated} more than once")
-        if not isinstance(self.sweep, dict):
-            raise ConfigError(f"sweep must be an object, got {self.sweep!r}")
         key = _SWEEP_KEYS.get(self.kind)
         if key is not None:
             values = self.sweep.get(key)
             if not (
                 isinstance(values, (list, tuple))
                 and values
-                and all(_is_int(v) and v >= 1 for v in values)
+                and all(is_int(v) and v >= 1 for v in values)
             ):
                 raise ConfigError(
                     f"{self.kind} needs sweep.{key}: a non-empty list of "
@@ -249,18 +229,13 @@ class ExperimentConfig:
                     f"scenario.actions has {len(self.scenario.actions)} steps, "
                     f"need n_steps + eval_horizon = {need}"
                 )
-        if not isinstance(self.planner, dict):
-            raise ConfigError("planner must be an object of PlannerConfig fields")
-        unknown = sorted(set(self.planner) - set(_PLANNER_RULES))
+        unknown = sorted(set(self.planner) - set(PLANNER_KEYS))
         if unknown:
             raise ConfigError(
-                f"unknown planner keys {unknown}; known: {list(_PLANNER_RULES)} "
+                f"unknown planner keys {unknown}; known: {PLANNER_KEYS} "
                 "(n_samples and n_particles are set from the top level)"
             )
-        for name, value in self.planner.items():
-            rule, valid = _PLANNER_RULES[name]
-            if not valid(value):
-                raise ConfigError(f"planner.{name} must be {rule}, got {value!r}")
+        check(self.planner, PLANNER_RULES, ConfigError, prefix="planner.")
 
     def _check_hypothesis_guards(self) -> None:
         """Every belief that enumerates hypotheses must fit its guard at

@@ -20,8 +20,8 @@ for array indexing.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
-from math import isfinite
 from numbers import Integral, Real
 
 import numpy as np
@@ -40,84 +40,132 @@ def default_alphas(n_classes: int) -> np.ndarray:
     return np.linspace(0.95, 1.05, n_classes)
 
 
-def _is_numeric(x) -> bool:
-    """Whether x is a real number, or a nested list/tuple or numeric array of
-    them; bools and strings are not numbers."""
-    if isinstance(x, np.ndarray):
-        return x.dtype.kind in "iuf"
-    if isinstance(x, (list, tuple)):
-        return all(_is_numeric(v) for v in x)
-    return isinstance(x, Real) and not isinstance(x, bool)
+# Magnitudes the model carries: past them its precision matrices turn
+# singular or its sampling weights stop summing to 1.  Each field alone at
+# its bound runs every method; fields at their bounds together may not.
+MAX_LENGTH = 1e8  # means, goal, actions, workspace bounds, unsafe radii
+MAX_ALPHA = 1e3  # |alphas|
+MIN_VARIANCE, MAX_VARIANCE = 1e-12, 1e8  # sigma2_* and covariance eigenvalues
 
 
-def _floats(x, name: str) -> np.ndarray:
-    """x as a float array; ScenarioError unless it is numeric and not ragged."""
-    if _is_numeric(x):
-        try:
-            return np.asarray(x, dtype=float)
-        except ValueError:
-            pass
-    raise ScenarioError(f"{name} must be an array of numbers, got {x!r}")
+def is_int(v) -> bool:
+    """Whether v is an integer; bools are not."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
-def _as_cov(x, name: str) -> np.ndarray:
-    c = _floats(x, name)
-    if c.shape == ():
-        c = np.eye(2) * float(c)
-    if c.shape != (2, 2):
-        raise ScenarioError(f"{name} must be a 2x2 covariance, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ScenarioError(f"{name} must be finite")
-    if not np.allclose(c, c.T):
-        raise ScenarioError(f"{name} must be symmetric")
-    if np.any(np.linalg.eigvalsh(c) <= 0):
-        raise ScenarioError(f"{name} must be positive definite")
-    return c
+def is_real(v) -> bool:
+    """Whether v is a real number; bools are not."""
+    return isinstance(v, Real) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    """Whether v is a finite real number and not a bool."""
-    return isinstance(v, Real) and not isinstance(v, bool) and isfinite(v)
+def is_finite(v) -> bool:
+    """Whether v is a real number a float holds finitely: not +-inf or NaN,
+    nor an int past the float range."""
+    return is_real(v) and abs(v) <= sys.float_info.max
 
 
-def _finite(x, name: str, shape: tuple) -> np.ndarray:
-    """x as a float array of finite numbers of the given shape; a leading -1
-    matches any length, an empty list included."""
-    a = _floats(x, name)
-    if shape[0] == -1 and a.size == 0:
+def int_rule(low: int) -> tuple:
+    """The rule of an integer field whose smallest valid value is low."""
+    return None, lambda v: is_int(v) and v >= low, f"an integer >= {low}"
+
+
+def check(values: dict, rules: dict, error: type, prefix: str = "") -> dict:
+    """Check values against a rules table, field -> (shape, valid, wording),
+    in table order, skipping fields `values` lacks; return what was checked.
+    With a shape (a field name in it stands for that field's value, "k" for
+    any length) `valid` sees the value read as a new float array of that
+    shape, else the value as is.  The first failure raises `error`."""
+    out = {}
+    for name, (shape, valid, wording) in rules.items():
+        if name not in values:
+            continue
+        value = values[name]
+        if shape is not None:
+            value = _read(value, tuple(values.get(d, d) for d in shape))
+            wording += f", of shape ({', '.join(map(str, shape))})"
+        if value is None or not valid(value):
+            raise error(f"{prefix}{name} must be {wording}, got {values[name]!r}")
+        out[name] = value
+    return out
+
+
+def _read(x, shape: tuple):
+    """x as a new float array of the given shape, or None if it is not one;
+    bools and strings are not numbers, and a ragged list is no array."""
+    a = np.array(x, dtype=object)
+    if not all(is_real(v) for v in a.flat):
+        return None
+    try:
+        a = a.astype(float)
+    except OverflowError:  # an int past float range
+        return None
+    if shape[:1] == ("k",) and a.size == 0:
         a = a.reshape(0, *shape[1:])
-    fits = a.ndim == len(shape) and all(m in (n, -1) for n, m in zip(a.shape, shape))
-    if not (fits and np.isfinite(a).all()):
-        dims = str(shape).replace("-1", "k")
-        raise ScenarioError(f"{name} must be finite numbers of shape {dims}, got {x!r}")
-    return a
+    fits = a.ndim == len(shape) and all(m in (n, "k") for n, m in zip(a.shape, shape))
+    return a if fits else None
+
+
+def _within(low, high):
+    """The predicate: every entry lies in [low, high] (NaN never does)."""
+    return lambda a: bool(np.all((low <= a) & (a <= high)))
+
+
+_lengths = _within(-MAX_LENGTH, MAX_LENGTH)
+_alphas = _within(-MAX_ALPHA, MAX_ALPHA)
+_variances = _within(MIN_VARIANCE, MAX_VARIANCE)
+
+
+def _covariances(c) -> bool:
+    """Whether c holds symmetric matrices with eigenvalues in the variance
+    range; the entries, bounded by the largest eigenvalue, are tested first."""
+    return (
+        _within(-MAX_VARIANCE, MAX_VARIANCE)(c)
+        and np.allclose(c, np.swapaxes(c, -1, -2))
+        and _variances(np.linalg.eigvalsh(c))
+    )
+
+
+def _stochastic(p) -> bool:
+    return bool(np.all(p >= 0)) and np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
 def _is_bounds(workspace) -> bool:
-    """Whether workspace is two (low, high) pairs of finite numbers, low < high."""
-    try:
-        return len(workspace) == 2 and all(
-            len(pair) == 2
-            and all(_is_number(v) for v in pair)
-            and pair[0] < pair[1]
-            for pair in workspace
-        )
-    except TypeError:
-        return False
+    a = _read(workspace, (2, 2))
+    return a is not None and _lengths(a) and bool(np.all(a[:, 0] < a[:, 1]))
+
+
+_NUMBERS = f"finite numbers of magnitude <= {MAX_LENGTH:g}"
+_IN_RANGE = f"in [{MIN_VARIANCE:g}, {MAX_VARIANCE:g}]"
+_COVARIANCES = f"finite, symmetric, with eigenvalues {_IN_RANGE}"
+_VARIANCE = (None, lambda v: is_real(v) and _variances(v), f"a number {_IN_RANGE}")
+# field -> (shape, valid, wording), in the order Scenario checks them
+SCENARIO_RULES = {
+    "n_objects": int_rule(1),
+    "n_classes": int_rule(1),
+    "object_prior_means": (("n_objects", 2), _lengths, _NUMBERS),
+    "class_prior": (("n_objects", "n_classes"), _stochastic, "rows of numbers >= 0 summing to 1"),
+    "robot_prior_mean": ((2,), _lengths, _NUMBERS),
+    "robot_prior_cov": ((2, 2), _covariances, _COVARIANCES),
+    "object_prior_covs": (("n_objects", 2, 2), _covariances, _COVARIANCES),
+    "sigma2_obs": _VARIANCE,
+    "sigma2_x": _VARIANCE,
+    "alphas": (("n_classes",), _alphas, f"numbers in [-{MAX_ALPHA:g}, {MAX_ALPHA:g}]"),
+    "unsafe_radius": (("n_classes",), _within(0, MAX_LENGTH), f"numbers in [0, {MAX_LENGTH:g}]"),
+    "goal": ((2,), _lengths, _NUMBERS),
+    "actions": (("k", 2), _lengths, _NUMBERS),
+    "opening_actions": (("k", 2), _lengths, _NUMBERS),
+    "workspace": (None, _is_bounds, f"two (low, high) pairs of {_NUMBERS}, x then y, low < high"),
+}
 
 
 @dataclass(eq=False)
 class Scenario:
     """Immutable-by-convention problem definition.
 
-    Construction raises ScenarioError unless n_objects and n_classes are
-    integers >= 1, sigma2_obs and sigma2_x finite numbers > 0, the
-    covariances finite, symmetric and positive definite, robot_prior_mean
-    and goal exactly 2 finite numbers, alphas and unsafe_radius exactly
-    n_classes finite numbers (radii >= 0), object_prior_means finite, and
-    actions and opening_actions [] or a list of finite [x, y] pairs.  Bools
-    and strings are not numbers in any field.  A single object cov, a scalar
-    robot cov and one class_prior row broadcast.
+    Construction raises ScenarioError unless every field but `name` meets
+    its rule in SCENARIO_RULES, which the README's scenario paragraph
+    spells out.  Bools and strings are not numbers in any field.  A single
+    object cov, a scalar robot cov and one class_prior row broadcast.
 
     Attributes:
         n_objects: number of landmarks with unknown class.
@@ -155,58 +203,28 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        for name in ("n_objects", "n_classes"):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 1):
-                raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
-        self.robot_prior_cov = _as_cov(self.robot_prior_cov, "robot_prior_cov")
-        covs = _floats(self.object_prior_covs, "object_prior_covs")
-        if covs.shape == (2, 2):
-            covs = np.tile(covs, (self.n_objects, 1, 1))
-        if covs.shape != (self.n_objects, 2, 2):
-            raise ScenarioError(
-                f"object_prior_covs must have shape ({self.n_objects}, 2, 2)"
-            )
-        self.object_prior_covs = np.stack(
-            [_as_cov(covs[n], f"object_prior_covs[{n}]") for n in range(self.n_objects)]
-        )
-        prior = _floats(self.class_prior, "class_prior")
-        if prior.shape == (self.n_classes,):
-            prior = np.tile(prior, (self.n_objects, 1))
-        if prior.shape != (self.n_objects, self.n_classes):
-            raise ScenarioError(
-                f"class_prior must have shape ({self.n_objects}, {self.n_classes})"
-            )
-        if np.any(prior < 0) or not np.allclose(prior.sum(axis=1), 1.0, atol=1e-9):
-            raise ScenarioError("class_prior rows must be nonnegative and sum to 1")
-        self.class_prior = prior
-        if not all(_is_number(v) and v > 0 for v in (self.sigma2_obs, self.sigma2_x)):
-            raise ScenarioError("noise variances must be finite numbers > 0")
+        # the broadcast shortcuts tile, and the defaults fill, arrays sized by
+        # the counts, so the means and class prior first tie them to given data
+        self._check("n_objects", "n_classes", "object_prior_means")
+        if (c := _read(self.robot_prior_cov, ())) is not None:
+            self.robot_prior_cov = np.eye(2) * c
+        if (c := _read(self.object_prior_covs, (2, 2))) is not None:
+            self.object_prior_covs = np.tile(c, (self.n_objects, 1, 1))
+        if (p := _read(self.class_prior, (self.n_classes,))) is not None:
+            self.class_prior = np.tile(p, (self.n_objects, 1))
+        self._check("class_prior")
         if self.alphas is None:
             self.alphas = default_alphas(self.n_classes)
         if self.unsafe_radius is None:
             self.unsafe_radius = np.zeros(self.n_classes)
         if self.opening_actions is None:
             self.opening_actions = np.tile(np.array([[0.5, 0.5]]), (4, 1))
-        for name, shape in (
-            ("robot_prior_mean", (2,)),
-            ("object_prior_means", (self.n_objects, 2)),
-            ("alphas", (self.n_classes,)),
-            ("unsafe_radius", (self.n_classes,)),
-            ("goal", (2,)),
-            ("opening_actions", (-1, 2)),
-        ):
-            setattr(self, name, _finite(getattr(self, name), name, shape))
         if self.actions is None:
-            self.actions = self.opening_actions.copy()
-        self.actions = _finite(self.actions, "actions", (-1, 2))
-        if np.any(self.unsafe_radius < 0):
-            raise ScenarioError("unsafe_radius entries must be >= 0")
-        if not _is_bounds(self.workspace):
-            raise ScenarioError(
-                "workspace must be two (low, high) pairs of finite numbers with "
-                f"low < high, got {self.workspace!r}"
-            )
+            self.actions = self.opening_actions
+        self._check(*SCENARIO_RULES)
+
+    def _check(self, *names) -> None:
+        vars(self).update(check(vars(self), {n: SCENARIO_RULES[n] for n in names}, ScenarioError))
 
     def log_class_prior(self) -> np.ndarray:
         """(n_objects, n_classes) log prior table; -inf where prior is 0."""

@@ -72,19 +72,22 @@ def load_tracing():
     return load_perfbench("tracing")
 
 
-@pytest.mark.parametrize("workload", ["plan-table", "psafe-time"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_invariants_hold_on_unpinned_seeds(workload, tmp_path):
     """Unit 0 of the seeds the pair records run (3101-3110) passes the
     benchmark's invariants in process.  No golden digest pins these seeds,
     so a failed check or a raised unit would otherwise surface only as a
-    benchmark run that exits 1."""
+    benchmark run that exits 1.  class-sweep's config is built through
+    resize_scenario and Scenario.from_dict, and its run resizes again at
+    each class count; it checks one item per (class count, method)."""
     wl = load_perfbench("workloads")
     for seed in range(3101, 3111):
         cfg = wl.build_config(wl.WORKLOADS[workload], seed)
         summary = run_experiment(cfg, tmp_path)
         rows = wl.read_rows(summary["files"]["rows"])
         attempted, failures = wl.check_unit(cfg, summary, rows)
-        assert attempted == len(cfg.methods) and failures == [], (seed, failures)
+        items = len(cfg.methods) * len(cfg.sweep.get("n_classes", [None]))
+        assert attempted == items and failures == [], (seed, failures)
 
 
 def test_tracer_tells_the_reference_apart(oracle_small):

@@ -9,6 +9,7 @@ and CLI exit codes.
 import csv
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from semgeo.harness import (
     resize_scenario,
     run_experiment,
 )
-from semgeo.methods import ExactReference, _Method, create_method
+from semgeo.methods import METHOD_TAGS, ExactReference, _Method, create_method
 from semgeo.planner import PlannerConfig
 from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
 
@@ -96,7 +97,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(self.base(kind="nope"))
 
     def test_unknown_method(self):
-        with pytest.raises(ConfigError, match="unknown methods"):
+        with pytest.raises(ConfigError, match=r"methods must be a non-empty list of tags from "
+                           r"\['theoretical-all-hyp', .*\], got \['mcmc-ours', 'magic'\]"):
             ExperimentConfig.from_dict(self.base(methods=["mcmc-ours", "magic"]))
 
     def test_repeated_method_tags(self):
@@ -130,7 +132,8 @@ class TestExperimentConfig:
     def test_methods_must_be_a_list_of_tags(self, methods):
         """A bare string would be split into characters, and null, a number
         or a bool used to escape as a TypeError."""
-        with pytest.raises(ConfigError, match="methods must be a list of method tags"):
+        with pytest.raises(ConfigError, match="methods must be a non-empty list of tags from "
+                           + rf".*, got {re.escape(repr(methods))}$"):
             ExperimentConfig.from_dict(self.base(methods=methods))
 
     @pytest.mark.parametrize(
@@ -188,7 +191,8 @@ class TestExperimentConfig:
             "max_steps": 40,
         }
         settable = {f.name for f in fields(PlannerConfig)} - {"n_samples", "n_particles"}
-        assert set(planner) == settable
+        # a PlannerConfig field added without a rule would be accepted unchecked
+        assert set(planner) == settable == set(harness_mod.PLANNER_RULES)
         cfg = ExperimentConfig.from_dict(
             self.base(kind="planning-table", planner=planner)
         )
@@ -251,26 +255,30 @@ class TestExperimentConfig:
         "over, message",
         [
             # every row would get reference_value 0.0 and a wrong RMSE
-            ({"reference_samples": 0}, "reference_samples must be >= 1"),
+            ({"reference_samples": 0}, "reference_samples must be an integer >= 1, got 0"),
             # the particle filter would fail with a bare math domain error
-            ({"n_particles": 0, "methods": ["pf-pruned"]}, "n_particles must be >= 1"),
+            ({"n_particles": 0, "methods": ["pf-pruned"]},
+             "n_particles must be an integer >= 1, got 0"),
             # would run nothing and exit 0
-            ({"methods": []}, "methods must name at least one method"),
+            ({"methods": []}, r"methods must be a non-empty list of tags from .*, got \[\]"),
             # would raise a TypeError inside run_experiment
-            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            ({"trials": 1.5}, "trials must be an integer >= 1, got 1.5"),
             # would write True into the n_samples column
-            ({"n_samples": True}, "n_samples must be an integer, got True"),
+            ({"n_samples": True}, "n_samples must be an integer >= 1, got True"),
             # the trial streams take only non-negative seeds
-            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
             # would slice the evaluated plan from the end of the actions
-            ({"eval_horizon": -2}, "eval_horizon must be >= 0"),
+            ({"eval_horizon": -2}, "eval_horizon must be an integer >= 0, got -2"),
             # trials run in one process; a parallel request must not run serially
             ({"workers": 2}, "workers must be 1"),
             ({"workers": 0}, "workers must be 1"),
+            # Path() raised a TypeError inside run_experiment
+            ({"out": 5}, "out must be a string, got 5"),
+            ({"out": None}, "out must be a string, got None"),
         ],
         ids=["reference_samples-0", "n_particles-0", "methods-empty",
              "trials-float", "n_samples-bool", "seed-negative", "eval_horizon-negative",
-             "workers-2", "workers-0"],
+             "workers-2", "workers-0", "out-number", "out-null"],
     )
     def test_invalid_field_values(self, over, message):
         with pytest.raises(ConfigError, match=message):
@@ -379,6 +387,7 @@ TINY = dict(
     seed=9,
 )
 
+TAGS = f"a non-empty list of tags from {list(METHOD_TAGS)}"
 PLAN_TINY = dict(
     kind="planning-table",
     scenario=dict(
@@ -733,6 +742,23 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "trials must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [5, None, [], {}])
+    def test_non_string_out_is_a_config_error(self, out, tmp_path, capsys):
+        """Path() used to raise a TypeError inside run_experiment (exit 1)."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, out=out)))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"out must be a string, got {out!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "a\x00b", "\ud800"], ids=["file", "nul", "surrogate"])
+    def test_out_directory_that_cannot_be_made_exits_2(self, out, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, out=out)))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "cannot create out directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["simulate", "oracle-check"])
     def test_non_object_config_exits_2(self, verb, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
@@ -753,6 +779,17 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and "cannot read config" not in err
+
+    @pytest.mark.parametrize("verb", ["simulate", "oracle-check"])
+    def test_non_utf8_files_exit_2(self, verb, tmp_path, capsys, monkeypatch):
+        """Both used to escape as a UnicodeDecodeError (exit 1)."""
+        monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, scenario=str(tmp_path / "bad.json"))))
+        assert main([verb, "--config", str(tmp_path / "bad.json")]) == 2
+        assert main([verb, "--config", str(path)]) == 2
+        assert "cannot read scenario" in capsys.readouterr().err
 
     def test_oracle_check_takes_no_methods(self, monkeypatch, capsys):
         """oracle-check runs every check; it has no --methods to ignore."""
@@ -812,7 +849,7 @@ class TestCli:
     def test_oracle_check_negative_seed_exits_2(self, capsys):
         """The checks' random streams take only non-negative seeds."""
         assert main(["oracle-check", "--seed", "-1"]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.skipif(
         shutil.which("semgeo") is None,
@@ -865,8 +902,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "verb, over, message",
         [
-            ("simulate", dict(methods=None), "methods must be a list of method tags"),
-            ("simulate", dict(methods="mcmc-ours"), "methods must be a list of method tags"),
+            ("simulate", dict(methods=None), f"methods must be {TAGS}, got None"),
+            ("simulate", dict(methods="mcmc-ours"), f"methods must be {TAGS}, got 'mcmc-ours'"),
             ("simulate", dict(scenario=WIDE), "EXACT_MAX_HYPOTHESES = 1000000, which the exact"),
             ("plan", dict(kind="planning-table", scenario=MID, methods=["pf-pruned"]),
              "PF_MAX_HYPOTHESES = 10000, which pf-pruned needs"),

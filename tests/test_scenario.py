@@ -1,11 +1,20 @@
 """Generative model: validation, serialization, RNG streams."""
 
+import json
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semgeo.cli import main
+from semgeo.harness import load_scenario
 from semgeo.scenario import (
+    MAX_ALPHA,
+    MAX_LENGTH,
+    MAX_VARIANCE,
+    MIN_VARIANCE,
     Scenario,
     ScenarioError,
     default_alphas,
@@ -137,6 +146,70 @@ class TestValidation:
         a = default_alphas(5)
         assert a[0] == 0.95 and a[-1] == 1.05
         np.testing.assert_allclose(np.diff(a), np.diff(a)[0])
+
+
+ORACLE = load_scenario("oracle_small").to_dict()
+
+
+def scaled(field, x):
+    """oracle_small's `field` with every entry x: a workspace spans [-x, x]
+    on both axes, and a covariance is x times the identity."""
+    if field == "workspace":
+        return [[-x, x], [-x, x]]
+    if field.startswith("sigma2"):
+        return x
+    base = np.asarray(ORACLE[field], dtype=float)
+    if field.endswith(("_cov", "_covs")):
+        return (np.eye(2) * np.ones(base.shape) * x).tolist()
+    return np.full(base.shape, x).tolist()
+
+
+LENGTHS = ["robot_prior_mean", "object_prior_means", "goal", "actions", "opening_actions"]
+VARIANCES = ["sigma2_obs", "sigma2_x", "robot_prior_cov", "object_prior_covs"]
+# (field, the value at one bound of its rule); np.nextafter away from the
+# valid range gives the value just past it
+BOUNDS = (
+    [(f, x) for f in LENGTHS for x in (MAX_LENGTH, -MAX_LENGTH)]
+    + [("workspace", MAX_LENGTH), ("unsafe_radius", MAX_LENGTH)]
+    + [("alphas", MAX_ALPHA), ("alphas", -MAX_ALPHA)]
+    + [(f, x) for f in VARIANCES for x in (MIN_VARIANCE, MAX_VARIANCE)]
+)
+
+
+def past(x):
+    return np.nextafter(x, 0.0 if x == MIN_VARIANCE else np.sign(x) * np.inf)
+
+
+class TestScaleBounds:
+    """Each field alone at a bound of its scale rule runs; just past it the
+    scenario is refused.  Past these magnitudes a run used to exit 1: means
+    at 1e300 with NaN class weights, alphas at 1e12 or sigma2_obs at 1e-16
+    with a singular precision, a covariance at 1e-320 inside the solver."""
+
+    @pytest.mark.parametrize("field, x", BOUNDS)
+    def test_at_the_bound_a_run_exits_0(self, field, x, tmp_path):
+        scenario = dict(ORACLE, **{field: scaled(field, x)})
+        Scenario.from_dict(scenario)
+        cfg = dict(
+            kind="psafe-vs-time", scenario=scenario, trials=2, n_steps=3, eval_horizon=2,
+            methods=["mcmc-ours", "snis-ours", "theoretical-all-hyp", "theoretical-pruned",
+                     "gs-map", "pf-pruned"],
+            n_samples=40, reference_samples=2000, n_particles=100, seed=9,
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res")]) == 0
+
+    @pytest.mark.parametrize("field, x", BOUNDS)
+    def test_just_past_the_bound_is_refused(self, field, x):
+        with pytest.raises(ScenarioError, match=f"^{field} must be"):
+            Scenario.from_dict(dict(ORACLE, **{field: scaled(field, past(x))}))
+
+    @pytest.mark.parametrize("name", ["defaults", "planning", "oracle_small"])
+    def test_shipped_scenarios_store_their_file_values(self, name):
+        raw = json.loads((files("semgeo") / f"scenarios/{name}.json").read_text())
+        stored = load_scenario(name).to_dict()
+        assert {key: stored[key] for key in raw} == raw
 
 
 class TestSerialization:
