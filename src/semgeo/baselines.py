@@ -14,7 +14,8 @@ particle likelihood, the particle-filter estimate of the same predictive
 term the analytic recursion uses.
 
 Both support pruning to a fixed number of leading hypotheses after the
-first update, mirroring common multi-hypothesis practice.
+first update, mirroring common multi-hypothesis practice.  Both return a new
+belief from update and prune and leave their input as it was.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ class HypothesisParticleFilter:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_hyp_w)
 
-    def update(self, action, batch: ObservationBatch, rng: np.random.Generator) -> None:
+    def update(self, action, batch: ObservationBatch, rng) -> "HypothesisParticleFilter":
+        """A new filter, one step on: propagate, weight, resample."""
         if batch.t != self.k + 1:
             raise ScenarioError(f"batch.t={batch.t}, expected {self.k + 1}")
         sc = self.scenario
@@ -317,32 +319,36 @@ class HypothesisParticleFilter:
         )
         # hypothesis weight: += log mean particle likelihood
         log_mean = logsumexp(ll, axis=1) - math.log(n_p)
-        self.log_hyp_w = self.log_hyp_w + log_mean
-        self.log_hyp_w -= logsumexp(self.log_hyp_w)
+        log_hyp_w = self.log_hyp_w + log_mean
+        log_hyp_w -= logsumexp(log_hyp_w)
         # append the new pose, then resample within each hypothesis
         grown = np.concatenate([self.particles, new_pose], axis=2)
         lw = ll - logsumexp(ll, axis=1, keepdims=True)
         w = np.exp(lw)
         min_ess = float((1.0 / (w**2).sum(axis=1)).min())
-        self.diagnostics["min_particle_ess"] = min(
-            self.diagnostics.get("min_particle_ess", float(n_p)), min_ess
-        )
-        self.diagnostics["degenerate"] = min_ess < 0.02 * n_p
+        diag = dict(self.diagnostics)
+        diag["min_particle_ess"] = min(diag.get("min_particle_ess", float(n_p)), min_ess)
+        diag["degenerate"] = min_ess < 0.02 * n_p
         for h in range(n_hyp):
             idx = systematic_resample(w[h], n_p, rng)
             grown[h] = grown[h, idx]
-        self.particles = grown
-        self.index = self.index.with_appended_step()
+        return HypothesisParticleFilter(
+            sc, self.labels_enum, grown, log_hyp_w, self.index.with_appended_step(), diag
+        )
 
-    def prune(self, keep: int) -> None:
-        """Keep the keep leading hypotheses, renormalized; no-op when it
+    def prune(self, keep: int) -> "HypothesisParticleFilter":
+        """Keep the leading hypotheses by weight, renormalized; self when it
         tracks no more than keep."""
+        if keep < 1:
+            raise ValueError("keep must be >= 1")
         if keep >= self.n_tracked:
-            return
+            return self
         sel = _top_k(self.log_hyp_w, keep)
-        self.labels_enum = self.labels_enum[sel]
-        self.particles = self.particles[sel]
-        self.log_hyp_w = self.log_hyp_w[sel] - logsumexp(self.log_hyp_w[sel])
+        log_w = self.log_hyp_w[sel]
+        return HypothesisParticleFilter(
+            self.scenario, self.labels_enum[sel], self.particles[sel],
+            log_w - logsumexp(log_w), self.index, dict(self.diagnostics),
+        )
 
     def pose_mean(self) -> np.ndarray:
         """Mixture mean of the current pose."""

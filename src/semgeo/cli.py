@@ -24,6 +24,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     load_scenario,
+    read_config,
     run_experiment,
 )
 from .oracles import run_oracle_checks
@@ -65,6 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out(out) -> Path:
+    """Create the output directory; ConfigError when it cannot be made."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
+        raise ConfigError(f"cannot create out directory {out!r}: {exc}") from exc
+    return path
+
+
 def _run_configured(args, allowed_kinds) -> int:
     config = ExperimentConfig.from_json(args.config)
     if config.kind not in allowed_kinds:
@@ -82,10 +93,7 @@ def _run_configured(args, allowed_kinds) -> int:
             raise ConfigError(f"--methods {bad} not present in config methods")
         config.methods = subset
     config._validate()
-    try:
-        Path(config.out).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
-        raise ConfigError(f"cannot create out directory {config.out!r}: {exc}") from exc
+    _make_out(config.out)
     summary = run_experiment(config)
     print(json.dumps({k: summary[k] for k in ("kind", "files") if k in summary}))
     return 0
@@ -97,27 +105,18 @@ def main(argv=None) -> int:
         if args.verb == "oracle-check":
             if args.seed is not None:
                 check({"seed": args.seed}, CONFIG_RULES, ConfigError)
-            scenario = None
-            if args.config is not None:
-                with open(args.config, encoding="utf-8") as fh:
-                    cfg = json.load(fh)
-                if not isinstance(cfg, dict):
-                    raise ConfigError(f"config must be an object, got {type(cfg).__name__}")
-                scenario = load_scenario(cfg.get("scenario", "oracle_small"))
+            cfg = read_config(args.config) if args.config is not None else {}
+            scenario = load_scenario(cfg.get("scenario", "oracle_small"))
+            out = _make_out(args.out) if args.out else None
             passed, checks = run_oracle_checks(
                 scenario, seed=args.seed if args.seed is not None else 0
             )
-            if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
+            if out is not None:
                 with open(out / "oracle_check.json", "w", encoding="utf-8") as fh:
-                    json.dump(
-                        [c.__dict__ for c in checks], fh, indent=2, default=str
-                    )
+                    json.dump([c.__dict__ for c in checks], fh, indent=2, default=str)
             return 0 if passed else 3
         return _run_configured(args, _VERB_KINDS[args.verb])
-    except (ConfigError, ScenarioError, FileNotFoundError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -290,13 +290,13 @@ def rao_blackwell_gap(
     n_samples: int,
     repetitions: int,
     rng: np.random.Generator,
-    plan: OpenLoopPlan | None = None,
     n_steps: int | None = None,
     reference_samples: int = 400_000,
     predict_samples: int = 200_000,
 ) -> dict:
     """Paired comparison of the joint-sample estimator against the
-    conditional-expectation estimator on one simulated history.
+    conditional-expectation estimator on one simulated history, with the
+    reward evaluated at the current state.
 
     Marginalizing the sampled classes can only shed variance; the measured
     MSE gap should match the average conditional variance of the reward
@@ -312,7 +312,7 @@ def rao_blackwell_gap(
     belief = AnalyticHybridBelief.from_scenario(scenario)
     for action, batch in zip(history.actions, history.batches):
         belief = belief.update(action, batch)
-    plan = plan if plan is not None else OpenLoopPlan.empty()
+    plan = OpenLoopPlan.empty()  # the current state: no rollout step, no draw
 
     # reference value from one large exact joint draw
     big = belief.sample(reference_samples, streams.sampler)

@@ -19,7 +19,8 @@ the stream hash is recorded in the summary.  Reference values come from
 `methods.ExactReference`: the exact Gaussian-sum belief sampled at a large
 sample count (its conditional taken through the factored-table route, which
 tests check agrees with the explicit hypothesis sum to 1e-9), never from the
-ground-truth world; its estimate computes p_safe alone, with no cost.
+ground-truth world.  It is asked through the `estimate` every method shares,
+with an infinite threshold, so it computes p_safe alone, with no cost.
 When a trial runs the timed `theoretical-all-hyp` method, the reference
 follows it, adopting that method's belief after each of its updates instead
 of building the same belief again; the values are bit-identical.  The
@@ -162,6 +163,18 @@ def load_scenario(spec) -> Scenario:
     raise ConfigError(f"cannot interpret scenario spec of type {type(spec).__name__}")
 
 
+def read_config(path) -> dict:
+    """The JSON object in the config file at `path`, else a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON, a NUL in the path
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be an object, got {type(cfg).__name__}")
+    return cfg
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -197,11 +210,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(read_config(path))
 
     def _validate(self) -> None:
         check(vars(self), CONFIG_RULES, ConfigError)
@@ -332,10 +341,11 @@ def _estimation_trial(
     Every step updates the timed methods in config order, each update timed,
     then the untimed reference (which may follow one of them).  Queries run
     after every step for psafe-vs-time and once after the last step for the
-    sweeps: the reference's p_safe first (the reference computes no cost),
-    then one row per (sample count, method).  A row's wall_ms is its
-    method.estimate call, p_safe and the unreported cost together, plus the
-    method's summed update time when the sweep resizes the scenario."""
+    sweeps: the reference's p_safe first (asked with an infinite threshold,
+    so it computes no cost), then one row per (sample count, method).  A
+    row's wall_ms is its method.estimate call, p_safe and the unreported
+    cost together, plus the method's summed update time when the sweep
+    resizes the scenario."""
     streams = trial_streams(cfg.seed, trial)
     _, history = simulate(scenario, cfg.n_steps, streams.world, streams.noise)
     rng = streams.sampler
@@ -359,12 +369,12 @@ def _estimation_trial(
         if not (step > 0 if per_step else step == cfg.n_steps):
             continue
         plan = OpenLoopPlan(scenario.actions[step : step + cfg.eval_horizon])
-        ref_val = reference.estimate(plan, cfg.reference_samples, ref_rng)["p_safe"].value
+        ref = reference.estimate(plan, cfg.reference_samples, ref_rng, math.inf)["p_safe"]
         for n_s in sample_counts:
             for tag, m in methods.items():
                 rows.append(
                     _timed_row(
-                        m, plan, n_s, rng, ref_val, update_s[tag] if resized else 0.0,
+                        m, plan, n_s, rng, ref.value, update_s[tag] if resized else 0.0,
                         trial=trial, time_step=step,
                         sweep_value=n_s if sample_sweep else sweep_value,
                     )

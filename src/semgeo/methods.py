@@ -1,15 +1,16 @@
 """Uniform stateful interface over the estimation methods.
 
 Every method consumes the same action/observation stream through update()
-and answers plan queries through estimate(), returning safety-probability
-and expected-cost reports.  All but the particle filters are one class,
-`_Method`, and differ only by their row of `_TABLE`: the belief they keep,
-their draw, and whether they prune.  A draw returns the step's states with
-their report, the sum over the classes.  It runs once per time step and
-sample count, so many candidate plans at one step share one draw; each plan
-is rolled forward from it afresh, reported, and costed only when it clears
-the caller's threshold.  The particle filters (`_ParticleMethod`) draw per
-hypothesis on every query instead, and cost every plan.
+and answers plan queries through one entry, estimate(plan, n, rng,
+threshold), returning safety-probability and expected-cost reports.  Each
+tag is a row of `_TABLE`: its belief, its draw, and whether it prunes.  The
+rows with a draw are one class, `_Method`: a draw returns the step's states
+with their report, the sum over the classes, once per time step and sample
+count, so the candidate plans at one step share it; each plan is rolled
+forward afresh, reported, and costed only when it clears the threshold.  The
+rows without a draw are the particle filters (`_ParticleMethod`), which draw
+per hypothesis on every query and cost every plan.  Every belief's update
+(and prune) returns a new belief and leaves its input as it was.
 
 Tags:
     mcmc-ours            factored belief, Metropolis-Hastings state samples
@@ -22,8 +23,8 @@ Tags:
 
 `ExactReference` (tag "reference", which no config can name) is the
 harness's untimed reference: exact-belief draws read through the factored
-conditional and the structured estimator.  Its estimate reports p_safe
-alone, the one value the harness reads from it, and skips the cost.
+conditional and the structured estimator, asked with an infinite threshold,
+so it computes p_safe and no cost.
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ from .estimators import (
 from .samplers import WeightedStateSet, mh_sample, snis_sample
 from .scenario import Scenario
 
-METHOD_TAGS = (
-    "theoretical-all-hyp",
-    "theoretical-pruned",
-    "pf-all-hyp",
-    "pf-pruned",
-    "mcmc-ours",
-    "snis-ours",
-    "gs-map",
-)
 PRUNE_KEEP = 3
 
 
@@ -64,8 +56,8 @@ class _Method:
     `draw(method, n, rng)` returns (state_set, report), with
     `report(reward, rollout) -> EstimateReport`; `keep`, when set, prunes the
     belief to that many hypotheses after every update.  perfbench's tracer
-    wraps update and estimate on each class that defines both, so a subclass
-    that overrides either one defines both.
+    wraps the update and estimate defined here, and tells the reference's
+    calls (`ExactReference` overrides neither) by `fast_conditional`.
     """
 
     def __init__(self, scenario: Scenario, tag: str, belief, draw, keep=None):
@@ -109,10 +101,6 @@ class _Method:
         if p_safe.value >= threshold:
             cost = expected_cost(sset, rollout, plan, self.scenario)
         return {"p_safe": p_safe, "cost": cost}
-
-    def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
-        sset, report = self._states(n_samples, rng)
-        return report(reward, rollout_states(sset, plan, self.scenario, rng))
 
 
 # ----------------------------------------------------------------------
@@ -168,14 +156,18 @@ def _reference_draw(m: ExactReference, n_samples: int, rng):
     return _structured(m, m.exact.sample(n_samples, rng))
 
 
-# tag -> (belief class, draw, keep)
+# tag -> (belief class, draw, keep); a row without a draw is a particle
+# filter, whose query draws per hypothesis (`_ParticleMethod`)
 _TABLE = {
     "theoretical-all-hyp": (AnalyticHybridBelief, _exact_draw, None),
     "theoretical-pruned": (AnalyticHybridBelief, _exact_draw, PRUNE_KEEP),
+    "pf-all-hyp": (HypothesisParticleFilter, None, None),
+    "pf-pruned": (HypothesisParticleFilter, None, PRUNE_KEEP),
     "mcmc-ours": (HybridBelief, _mh_draw, None),
     "snis-ours": (HybridBelief, _snis_draw, None),
     "gs-map": (HybridBelief, _map_draw, None),
 }
+METHOD_TAGS = tuple(_TABLE)
 
 
 class ExactReference(_Method):
@@ -183,8 +175,8 @@ class ExactReference(_Method):
     Gaussian-sum belief (`exact`), read through the factored belief's
     conditional b[C|X] and the structured estimator.  The conditional equals
     the explicit hypothesis sum to roundoff at linear cost; it serves
-    untimed reference values, never the timed exact baseline.  Its estimate
-    returns p_safe only: the harness reads nothing else from it.
+    untimed reference values, never the timed exact baseline, asked with an
+    infinite threshold so that no cost is computed.
 
     With `follow`, the reference adopts that timed all-hypothesis method's
     exact belief after each update instead of updating a copy: the update is
@@ -205,14 +197,6 @@ class ExactReference(_Method):
         )
         self.exact = AnalyticHybridBelief.from_scenario(scenario)
         self._follow = follow
-
-    # defined here, not inherited, so the tracer wraps this class's pair
-    update = _Method.update
-
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng) -> dict:
-        return {
-            "p_safe": self.estimate_reward(safety_reward(self.scenario), plan, n_samples, rng)
-        }
 
     def _advance(self, action, batch) -> None:
         if self._follow is not None:
@@ -235,13 +219,14 @@ class _ParticleMethod:
 
     Not a `_Method`: every query draws a fresh state set per hypothesis,
     then a separate mixture draw for cost.  The filter is built from the
-    first rng it sees, whether an update's or a query's.
+    first rng it sees, whether an update's or a query's; `keep`, when set,
+    prunes it to that many hypotheses after every update.
     """
 
-    def __init__(self, scenario: Scenario, tag: str, n_particles: int):
+    def __init__(self, scenario: Scenario, tag: str, keep, n_particles: int):
         self.scenario = scenario
         self.tag = tag
-        self._keep = PRUNE_KEEP if tag == "pf-pruned" else None
+        self._keep = keep
         self._n_particles = n_particles
         self.pf = None
 
@@ -257,36 +242,34 @@ class _ParticleMethod:
 
     def update(self, action, batch, rng) -> None:
         self._ensure(rng)
-        self.pf.update(action, batch, rng)
+        self.pf = self.pf.update(action, batch, rng)
         if self._keep is not None:
-            self.pf.prune(self._keep)
+            self.pf = self.pf.prune(self._keep)
 
     def pose_mean(self) -> np.ndarray:
         if self.pf is None:
             return self.scenario.robot_prior_mean.copy()
         return self.pf.pose_mean()
 
-    def estimate_reward(self, reward, plan, n_samples, rng) -> EstimateReport:
+    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng, threshold: float = 0.0) -> dict:
+        """p_safe summed over per-hypothesis draws; cost from one mixture draw."""
         self._ensure(rng)
+        reward = safety_reward(self.scenario)
         weights = self.pf.weights
-        value = 0.0
-        var = 0.0
+        value = var = 0.0
         for h in range(self.pf.n_tracked):
             sset = self.pf.hypothesis_state_set(h, n_samples, rng)
             rollout = rollout_states(sset, plan, self.scenario, rng)
             rep = estimate_sampled_xc(sset, rollout, reward, self.scenario)
             value += weights[h] * rep.value
             var += (weights[h] * rep.std_error) ** 2
-        return EstimateReport(
+        p_safe = EstimateReport(
             value=float(value),
             std_error=float(np.sqrt(var)),
             n_samples=n_samples * self.pf.n_tracked,
             ess=float(n_samples),
             extras=dict(self.pf.diagnostics),
         )
-
-    def estimate(self, plan: OpenLoopPlan, n_samples: int, rng, threshold: float = 0.0) -> dict:
-        p_safe = self.estimate_reward(safety_reward(self.scenario), plan, n_samples, rng)
         # Cost is class-free; one mixture draw suffices.  That draw comes from
         # the caller's stream, so skipping it below the threshold would shift
         # every later draw: every candidate is costed, whatever `threshold`.
@@ -302,9 +285,9 @@ def create_method(tag: str, scenario: Scenario, n_particles: int = 500):
     """Instantiate a method state by tag.  Every tag accepts n_particles,
     which mirrors the experiment config's top-level value; only the pf-*
     filters use it, as their particle count per hypothesis."""
-    if tag in ("pf-all-hyp", "pf-pruned"):
-        return _ParticleMethod(scenario, tag, n_particles)
     if tag not in _TABLE:
         raise ValueError(f"unknown method tag {tag!r}; known: {', '.join(METHOD_TAGS)}")
     belief, draw, keep = _TABLE[tag]
+    if draw is None:
+        return _ParticleMethod(scenario, tag, keep, n_particles)
     return _Method(scenario, tag, belief.from_scenario(scenario), draw, keep)

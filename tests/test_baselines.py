@@ -149,15 +149,45 @@ class TestPrune:
             analytic.prune(keep=0)
 
 
+def _filter_state(pf):
+    """Copies of everything a particle filter's update or prune could change."""
+    return (
+        pf.labels_enum.copy(),
+        pf.particles.copy(),
+        pf.log_hyp_w.copy(),
+        pf.index,
+        dict(pf.diagnostics),
+    )
+
+
+def _assert_unchanged(pf, state):
+    labels, particles, log_hyp_w, index, diagnostics = state
+    assert_array_equal(pf.labels_enum, labels)
+    assert_array_equal(pf.particles, particles)
+    assert_array_equal(pf.log_hyp_w, log_hyp_w)
+    assert pf.index is index
+    assert pf.diagnostics == diagnostics
+
+
+def _filtered(pf, history, rng):
+    for action, batch in zip(history.actions, history.batches):
+        pf = pf.update(action, batch, rng)
+    return pf
+
+
 class TestParticleFilter:
     def test_update_appends_pose_and_mutates(self, oracle_small, seeded_history, rng):
+        """Update returns a new filter one pose longer; the filter it was
+        called on is not mutated."""
         _, history, _, _, _ = seeded_history
-        pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=64)
-        dim0 = pf.particles.shape[2]
-        pf.update(history.actions[0], history.batches[0], rng)
-        assert pf.k == 1
-        assert pf.particles.shape[2] == dim0 + 2
+        pf0 = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=64)
+        before = _filter_state(pf0)
+        pf = pf0.update(history.actions[0], history.batches[0], rng)
+        _assert_unchanged(pf0, before)
+        assert pf0.k == 0 and pf.k == 1
+        assert pf.particles.shape[2] == pf0.particles.shape[2] + 2
         assert pf.index.n_steps == 1
+        assert pf.diagnostics is not pf0.diagnostics
         with pytest.raises(ScenarioError, match="batch.t"):
             pf.update(history.actions[0], history.batches[0], rng)
 
@@ -165,25 +195,40 @@ class TestParticleFilter:
         _, history, _, analytic, _ = seeded_history
         rng = np.random.default_rng(5)
         pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=4000)
-        for action, batch in zip(history.actions, history.batches):
-            pf.update(action, batch, rng)
+        pf = _filtered(pf, history, rng)
         assert np.max(np.abs(pf.weights - analytic.weights)) < 0.05
         assert np.argmax(pf.weights) == np.argmax(analytic.weights)
 
     def test_prune_mutates_and_renormalizes(self, oracle_small, seeded_history, rng):
+        """Prune returns a new, renormalized filter; the filter it was
+        called on is not mutated."""
         _, history, _, _, _ = seeded_history
-        pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=128)
-        pf.update(history.actions[0], history.batches[0], rng)
-        pf.prune(keep=3)
+        pf0 = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=128)
+        pf1 = pf0.update(history.actions[0], history.batches[0], rng)
+        before = _filter_state(pf1)
+        pf = pf1.prune(keep=3)
+        _assert_unchanged(pf1, before)
+        assert pf1.n_tracked == 4
         assert pf.n_tracked == 3
         assert pf.particles.shape[0] == 3
         assert_allclose(np.exp(logsumexp(pf.log_hyp_w)), 1.0, rtol=1e-12)
 
+    def test_keep_larger_than_tracked_returns_self(self, oracle_small, rng):
+        pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=16)
+        assert pf.prune(keep=pf.n_tracked) is pf
+        assert pf.prune(keep=99) is pf
+
+    def test_keep_zero_raises(self, oracle_small, rng):
+        pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=16)
+        before = _filter_state(pf)
+        with pytest.raises(ValueError, match="keep must be >= 1"):
+            pf.prune(keep=0)
+        _assert_unchanged(pf, before)
+
     def test_degeneracy_diagnostic_tracks_minimum(self, oracle_small, seeded_history, rng):
         _, history, _, _, _ = seeded_history
         pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=256)
-        for action, batch in zip(history.actions, history.batches):
-            pf.update(action, batch, rng)
+        pf = _filtered(pf, history, rng)
         ess = pf.diagnostics["min_particle_ess"]
         assert 0.0 < ess <= 256.0
         assert pf.diagnostics["degenerate"] == (ess < 0.02 * 256)
@@ -191,8 +236,7 @@ class TestParticleFilter:
     def test_sample_label_frequencies(self, oracle_small, seeded_history, rng):
         _, history, _, _, _ = seeded_history
         pf = HypothesisParticleFilter.from_scenario(oracle_small, rng, n_particles=512)
-        for action, batch in zip(history.actions, history.batches):
-            pf.update(action, batch, rng)
+        pf = _filtered(pf, history, rng)
         n = 20_000
         draws = pf.sample(n, rng)
         assert draws.samples.shape == (n, pf.particles.shape[2])

@@ -20,7 +20,7 @@ import pytest
 
 from semgeo.estimators import OpenLoopPlan
 from semgeo.harness import ExperimentConfig, run_experiment
-from semgeo.methods import METHOD_TAGS, ExactReference, create_method
+from semgeo.methods import METHOD_TAGS, ExactReference, _Method, create_method
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("plan-table", "psafe-time", "class-sweep")
@@ -168,11 +168,12 @@ def test_untimed_probes_run_before_each_reference_update(tmp_path, methods):
     "methods", [["theoretical-all-hyp", "mcmc-ours"], ["mcmc-ours"]], ids=["follow", "own"]
 )
 def test_tracer_wraps_the_reference_pair_once(tmp_path, monkeypatch, methods):
-    """ExactReference defines its own update and estimate, so the tracer
-    wraps them on that class: each reference call is one
+    """ExactReference inherits update and estimate from _Method, so the
+    tracer wraps the pair once, on _Method: each reference call is one
     harness.reference span, and no timed method's span counts it."""
     tracing = load_tracing()
-    assert ExactReference in tracing.method_classes()
+    classes = tracing.method_classes()
+    assert _Method in classes and ExactReference not in classes
     cfg = ExperimentConfig.from_dict(
         dict(
             kind="psafe-vs-time",
@@ -186,19 +187,21 @@ def test_tracer_wraps_the_reference_pair_once(tmp_path, monkeypatch, methods):
         )
     )
     calls = {"update": 0, "estimate": 0}
-    for op in calls:
-        orig = getattr(ExactReference, op)
-
-        def counted(*args, _op=op, _orig=orig, **kwargs):
-            calls[_op] += 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(ExactReference, op, counted)
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        # counted on the reference's class alone, around the traced pair
+        for op in calls:
+            orig = getattr(ExactReference, op)
+
+            def counted(*args, _op=op, _orig=orig, **kwargs):
+                calls[_op] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(ExactReference, op, counted)
         run_experiment(cfg, tmp_path)
     finally:
+        monkeypatch.undo()
         tracer.uninstall()
     layers = tracer.layers()
     per_run = cfg.trials * cfg.n_steps

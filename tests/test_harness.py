@@ -711,10 +711,10 @@ class TestSharedReference:
         seen = []
         estimate = _Method.estimate
 
-        def recorded(method, plan, n_samples, rng):
+        def recorded(method, plan, n_samples, rng, threshold=0.0):
             if method.tag == "theoretical-all-hyp":
                 seen.append(method.belief._log_w is None)
-            return estimate(method, plan, n_samples, rng)
+            return estimate(method, plan, n_samples, rng, threshold)
 
         monkeypatch.setattr(_Method, "estimate", recorded)
         cfg = ExperimentConfig.from_dict(
@@ -845,6 +845,25 @@ class TestCli:
             cli_mod, "run_oracle_checks", lambda scenario, seed=0: (False, [])
         )
         assert main(["oracle-check"]) == 3
+
+    @pytest.mark.parametrize("verb", ["simulate", "oracle-check"])
+    def test_directory_as_config_exits_2(self, verb, tmp_path, capsys, monkeypatch):
+        """oracle-check used to escape as an IsADirectoryError (exit 1)."""
+        monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
+        assert main([verb, "--config", str(tmp_path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_oracle_check_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, monkeypatch):
+        """The out directory is made before any check runs; a path under a
+        file used to raise NotADirectoryError after all of them (exit 1)."""
+        ran = []
+        monkeypatch.setattr(
+            cli_mod, "run_oracle_checks", lambda scenario, seed=0: ran.append(1) or (True, [])
+        )
+        (tmp_path / "taken").write_text("")
+        assert main(["oracle-check", "--out", str(tmp_path / "taken" / "sub")]) == 2
+        assert "cannot create out directory" in capsys.readouterr().err
+        assert ran == []
 
     def test_oracle_check_negative_seed_exits_2(self, capsys):
         """The checks' random streams take only non-negative seeds."""

@@ -1,13 +1,15 @@
 """One shared contract across the seven tracked-belief method variants.
 
 Every method exposes update / pose_mean / estimate with identical call
-shapes, so the planner and harness never branch on the tag.  Tests pin that
-contract, the pruning side effects, and rough agreement of the unbiased
-estimators with the exhaustive reference.
+shapes, so the planner and harness never branch on the tag; the harness's
+reference answers through the same estimate.  Tests pin that contract, the
+pruning side effects, and rough agreement of the unbiased estimators with
+the exhaustive reference.
 """
 
 import copy
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import semgeo.methods as methods_mod
-from semgeo.estimators import EstimateReport, OpenLoopPlan, safety_reward
+from semgeo.estimators import EstimateReport, OpenLoopPlan
 from semgeo.methods import METHOD_TAGS, ExactReference, _Method, create_method
 from semgeo.scenario import ScenarioError, simulate, trial_streams
 
@@ -55,6 +57,15 @@ class TestCreateMethod:
         with pytest.raises(TypeError, match="n_particle"):
             create_method("pf-pruned", oracle_small, n_particle=10)
 
+    def test_rows_without_a_draw_are_particle_filters(self, oracle_small):
+        """Every tag is a row of one table; the row alone decides the class
+        and the pruning."""
+        assert METHOD_TAGS == tuple(methods_mod._TABLE)
+        for tag, (_, draw, keep) in methods_mod._TABLE.items():
+            method = create_method(tag, oracle_small)
+            assert isinstance(method, methods_mod._ParticleMethod) == (draw is None)
+            assert method._keep == keep
+
     def test_fast_conditional_is_rejected_by_every_tag(self, oracle_small):
         """The reference is its own class (ExactReference); no tag switches
         into its route."""
@@ -86,19 +97,6 @@ class TestSharedContract:
         method.update(history.actions[0], history.batches[0], rng)
         with pytest.raises(ScenarioError, match="batch.t"):
             method.update(history.actions[0], history.batches[0], rng)
-
-    @pytest.mark.parametrize(
-        "tag, options", [(tag, {}) for tag in METHOD_TAGS] + [("reference", {})]
-    )
-    def test_reward_route_matches_estimate(self, tag, options, oracle_small, seeded_history):
-        """estimate_reward with the safety reward makes the same draws and
-        gives the same value as estimate's p_safe (the harness reference
-        relies on it)."""
-        _, history, _, _, _ = seeded_history
-        a, rng_a = advanced(tag, oracle_small, history, **options)
-        b, rng_b = advanced(tag, oracle_small, history, **options)
-        via_reward = a.estimate_reward(safety_reward(oracle_small), PLAN, 60, rng_a)
-        assert via_reward.value == b.estimate(PLAN, 60, rng_b)["p_safe"].value
 
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_threshold_leaves_the_stream_unchanged(self, tag, oracle_small, seeded_history):
@@ -235,18 +233,20 @@ class TestAgreement:
     def test_reference_estimate_is_the_shared_path_p_safe(
         self, oracle_small, defaults_scenario, planning_scenario
     ):
-        """The reference's own estimate returns the shared path's p_safe
-        bit for bit, and no cost; twin-seeded references see the same
-        draws, so the rng ends in the same state."""
+        """The reference answers through the shared estimate.  Asked with an
+        infinite threshold, as the harness asks it, it returns the p_safe of
+        a fully costed query bit for bit, and no cost; twin-seeded
+        references see the same draws, so the rng ends in the same state."""
+        assert "estimate" not in vars(ExactReference) and "update" not in vars(ExactReference)
         for sc in (oracle_small, defaults_scenario, planning_scenario):
             streams = trial_streams(11, 0)
             _, history = simulate(sc, 3, streams.world, streams.noise)
             own, rng_a = advanced("reference", sc, history)
             shared, rng_b = advanced("reference", sc, history)
             for plan in (PLAN, OpenLoopPlan(sc.actions[3:9]), OpenLoopPlan.empty()):
-                a = own.estimate(plan, 3_000, rng_a)
-                b = _Method.estimate(shared, plan, 3_000, rng_b)
-                assert set(a) == {"p_safe"}
+                a = own.estimate(plan, 3_000, rng_a, math.inf)
+                b = shared.estimate(plan, 3_000, rng_b)
+                assert a["cost"] is None and b["cost"] is not None
                 assert a["p_safe"].value == b["p_safe"].value
                 assert a["p_safe"].std_error == b["p_safe"].std_error
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state

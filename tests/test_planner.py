@@ -266,7 +266,10 @@ class TestCostGate:
     # every tag but all-hyp; the other trials stop at their first replan
     CONFIG = PlannerConfig(n_nodes=40, k_nearest=6, n_candidates=40, n_samples=100, max_steps=8)
 
-    @pytest.mark.parametrize("tag", sorted(methods_mod._TABLE))
+    # the shared-path tags: the particle filters cost every candidate
+    SHARED_PATH = sorted(tag for tag, (_, draw, _) in methods_mod._TABLE.items() if draw)
+
+    @pytest.mark.parametrize("tag", SHARED_PATH)
     def test_gated_trial_equals_fully_costed(self, tag, planning_scenario, monkeypatch):
         """Costing only the candidates that clear the threshold changes no
         trial: select_plan reads no other cost, and a cost draws nothing."""
