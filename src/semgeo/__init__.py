@@ -14,7 +14,7 @@ from .baselines import (
     gs_map_estimate,
     verify_weight_recursion,
 )
-from .belief import CodecRangeError, HybridBelief, enumerate_labels
+from .belief import HybridBelief, enumerate_labels
 from .estimators import (
     EstimateReport,
     OpenLoopPlan,
@@ -24,7 +24,6 @@ from .estimators import (
     estimate_structured,
     expected_cost,
     is_mse_lower_bound,
-    rao_blackwell_gap,
     rollout_states,
     safety_reward,
 )
@@ -52,10 +51,8 @@ from .planner import (
 from .samplers import (
     DegenerateWeightsError,
     WeightedStateSet,
-    complete_hypotheses,
     mh_sample,
     snis_sample,
-    uniform_hypothesis_is,
 )
 from .scenario import (
     History,

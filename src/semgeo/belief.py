@@ -26,22 +26,6 @@ from . import _kernels
 from .gaussian import GaussianFactorGraph, StackedIndex
 from .scenario import ObservationBatch, Scenario, ScenarioError
 
-# hypothesis indices are kept representable as signed 64-bit
-CODEC_LIMIT = 2**63
-
-
-class CodecRangeError(OverflowError):
-    """Joint hypothesis index would not fit in a signed 64-bit integer."""
-
-
-def n_hypotheses(n_objects: int, n_classes: int) -> int:
-    count = n_classes**n_objects
-    if count > CODEC_LIMIT:
-        raise CodecRangeError(
-            f"{n_classes}**{n_objects} hypotheses exceed the 2**63 index range"
-        )
-    return count
-
 
 def decode_labels(idx: np.ndarray, n_objects: int, n_classes: int) -> np.ndarray:
     """(len(idx), n_objects) 0-based labels of int64 hypothesis indices."""
@@ -51,22 +35,19 @@ def decode_labels(idx: np.ndarray, n_objects: int, n_classes: int) -> np.ndarray
     return out
 
 
-def enumerate_labels(
-    n_objects: int, n_classes: int, max_hypotheses: int | None = None
-) -> np.ndarray:
+def enumerate_labels(n_objects: int, n_classes: int, max_hypotheses: int) -> np.ndarray:
     """(n_hypotheses, n_objects) 0-based label matrix, row h = decode(h).
 
     The guard compares the exact count before any index is formed, so it
-    speaks even where the count exceeds the 64-bit codec range.
+    speaks even where the count exceeds the 64-bit index range.
     """
     count = n_classes**n_objects
-    if max_hypotheses is not None and count > max_hypotheses:
+    if count > max_hypotheses:
         raise ValueError(
             f"{count} hypotheses exceed the guard {max_hypotheses} "
             f"(max_hypotheses={max_hypotheses}); use estimate_structured"
         )
-    total = n_hypotheses(n_objects, n_classes)
-    return decode_labels(np.arange(total, dtype=np.int64), n_objects, n_classes)
+    return decode_labels(np.arange(count, dtype=np.int64), n_objects, n_classes)
 
 
 _EYE2 = np.eye(2)
@@ -202,16 +183,6 @@ class HybridBelief:
         np.exp(tables, out=tables)
         tables /= _kernels.class_sum(tables)[:, :, None]
         return tables
-
-    def sample_hypothesis_given_state(
-        self, samples: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw labels (ns, n_objects) from the per-object conditionals."""
-        probs = self.class_posterior_given_state(samples)
-        cdf = np.cumsum(probs, axis=2)
-        u = rng.random(size=probs.shape[:2])
-        labels = (u[:, :, None] > cdf).sum(axis=2)
-        return np.minimum(labels, self.scenario.n_classes - 1).astype(np.int64)
 
     def log_unnormalized_joint(self, samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """log of b_g[X] * prod_n btilde[labels_n | X] (labels 0-based)."""

@@ -14,27 +14,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .harness import (
-    BENCHMARK_KINDS,
     CONFIG_RULES,
-    ESTIMATION_KINDS,
-    PLANNING_KINDS,
+    KINDS,
     ConfigError,
     ExperimentConfig,
     load_scenario,
+    make_out,
     read_config,
     run_experiment,
+    write_json,
 )
 from .oracles import run_oracle_checks
 from .scenario import ScenarioError, check
 
-_VERB_KINDS = {
-    "simulate": ESTIMATION_KINDS,
-    "benchmark": BENCHMARK_KINDS,
-    "plan": PLANNING_KINDS,
-}
+
+def _kinds(verb: str) -> tuple:
+    """The experiment kinds a verb runs."""
+    return tuple(kind for kind, (runs, _) in KINDS.items() if runs == verb)
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
@@ -53,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid semantic-geometric belief estimation and planning",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, kinds in _VERB_KINDS.items():
-        p = sub.add_parser(verb, help=f"run a {'/'.join(kinds)} experiment")
+    for verb in dict.fromkeys(verb for verb, _ in KINDS.values()):
+        p = sub.add_parser(verb, help=f"run a {'/'.join(_kinds(verb))} experiment")
         _add_common(p, config_required=True)
         p.add_argument(
             "--methods",
@@ -64,16 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="run built-in consistency checks")
     _add_common(p, config_required=False)
     return parser
-
-
-def _make_out(out) -> Path:
-    """Create the output directory; ConfigError when it cannot be made."""
-    path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
-        raise ConfigError(f"cannot create out directory {out!r}: {exc}") from exc
-    return path
 
 
 def _run_configured(args, allowed_kinds) -> int:
@@ -93,7 +81,6 @@ def _run_configured(args, allowed_kinds) -> int:
             raise ConfigError(f"--methods {bad} not present in config methods")
         config.methods = subset
     config._validate()
-    _make_out(config.out)
     summary = run_experiment(config)
     print(json.dumps({k: summary[k] for k in ("kind", "files") if k in summary}))
     return 0
@@ -107,15 +94,14 @@ def main(argv=None) -> int:
                 check({"seed": args.seed}, CONFIG_RULES, ConfigError)
             cfg = read_config(args.config) if args.config is not None else {}
             scenario = load_scenario(cfg.get("scenario", "oracle_small"))
-            out = _make_out(args.out) if args.out else None
+            out = make_out(args.out) if args.out else None
             passed, checks = run_oracle_checks(
                 scenario, seed=args.seed if args.seed is not None else 0
             )
             if out is not None:
-                with open(out / "oracle_check.json", "w", encoding="utf-8") as fh:
-                    json.dump([c.__dict__ for c in checks], fh, indent=2, default=str)
+                write_json(out / "oracle_check.json", [c.__dict__ for c in checks])
             return 0 if passed else 3
-        return _run_configured(args, _VERB_KINDS[args.verb])
+        return _run_configured(args, _kinds(args.verb))
     except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,10 +44,6 @@ class OpenLoopPlan:
     def horizon(self) -> int:
         return len(self.actions)
 
-    @classmethod
-    def empty(cls) -> "OpenLoopPlan":
-        return cls(actions=np.empty((0, 2)))
-
 
 def rollout_states(
     state_set: WeightedStateSet,
@@ -278,81 +274,3 @@ def is_mse_lower_bound(prior, proposal, gbar, n_samples: int) -> float:
     w = ratio / total
     mean = w @ gbar
     return float(total * (w @ (gbar - mean) ** 2) / n_samples)
-
-
-# ----------------------------------------------------------------------
-# Rao-Blackwell gap study
-
-
-def rao_blackwell_gap(
-    scenario: Scenario,
-    reward: tuple,
-    n_samples: int,
-    repetitions: int,
-    rng: np.random.Generator,
-    n_steps: int | None = None,
-    reference_samples: int = 400_000,
-    predict_samples: int = 200_000,
-) -> dict:
-    """Paired comparison of the joint-sample estimator against the
-    conditional-expectation estimator on one simulated history, with the
-    reward evaluated at the current state.
-
-    Marginalizing the sampled classes can only shed variance; the measured
-    MSE gap should match the average conditional variance of the reward
-    divided by the sample count.  Returns both, with standard errors from
-    paired per-repetition differences.
-    """
-    from .baselines import AnalyticHybridBelief
-    from .scenario import simulate, trial_streams
-
-    streams = trial_streams(int(rng.integers(2**32)), 0)
-    steps = n_steps if n_steps is not None else len(scenario.actions)
-    world, history = simulate(scenario, steps, streams.world, streams.noise)
-    belief = AnalyticHybridBelief.from_scenario(scenario)
-    for action, batch in zip(history.actions, history.batches):
-        belief = belief.update(action, batch)
-    plan = OpenLoopPlan.empty()  # the current state: no rollout step, no draw
-
-    # reference value from one large exact joint draw
-    big = belief.sample(reference_samples, streams.sampler)
-    big_roll = rollout_states(big, plan, scenario, streams.sampler)
-    ref = estimate_sampled_xc(big, big_roll, reward, scenario)
-
-    err_joint = np.empty(repetitions)
-    err_rb = np.empty(repetitions)
-    for r in range(repetitions):
-        sset = belief.sample(n_samples, streams.sampler)
-        rollout = rollout_states(sset, plan, scenario, streams.sampler)
-        est_joint = estimate_sampled_xc(sset, rollout, reward, scenario)
-        joint = belief.conditional_joint_probs(sset.samples)
-        est_rb = estimate_explicit_c(sset, rollout, reward, scenario, joint, belief.labels_enum)
-        err_joint[r] = (est_joint.value - ref.value) ** 2
-        err_rb[r] = (est_rb.value - ref.value) ** 2
-
-    diffs = err_joint - err_rb
-    gap = float(diffs.mean())
-    gap_se = float(diffs.std(ddof=1) / math.sqrt(repetitions))
-
-    # predicted gap: mean conditional variance of the reward, over the state
-    pred = belief.sample(predict_samples, streams.sampler)
-    pred_roll = rollout_states(pred, plan, scenario, streams.sampler)
-    joint = belief.conditional_joint_probs(pred.samples)
-    values = explicit_values(reward, pred, pred_roll, scenario, belief.labels_enum)
-    cond_mean = np.einsum("ih,ih->i", joint, values)
-    cond_second = np.einsum("ih,ih->i", joint, values**2)
-    cond_var = cond_second - cond_mean**2
-    predicted = float(cond_var.mean() / n_samples)
-    predicted_se = float(cond_var.std(ddof=1) / math.sqrt(predict_samples) / n_samples)
-
-    return {
-        "reference": ref.value,
-        "mse_joint": float(err_joint.mean()),
-        "mse_rb": float(err_rb.mean()),
-        "gap": gap,
-        "gap_se": gap_se,
-        "predicted_gap": predicted,
-        "predicted_gap_se": predicted_se,
-        "n_samples": n_samples,
-        "repetitions": repetitions,
-    }

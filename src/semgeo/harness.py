@@ -62,10 +62,16 @@ from .scenario import (
     trial_streams,
 )
 
-ESTIMATION_KINDS = ("psafe-vs-time",)
-BENCHMARK_KINDS = ("rmse-vs-samples", "rmse-vs-classes", "rmse-vs-objects")
-PLANNING_KINDS = ("planning-table",)
-ALL_KINDS = ESTIMATION_KINDS + BENCHMARK_KINDS + PLANNING_KINDS
+# kind -> (the CLI verb that runs it, the sweep key it runs over or None).
+# A sweep's values are counts >= 1; an n_classes or n_objects sweep runs
+# every value on a resized scenario.
+KINDS = {
+    "psafe-vs-time": ("simulate", None),
+    "rmse-vs-samples": ("benchmark", "n_samples"),
+    "rmse-vs-classes": ("benchmark", "n_classes"),
+    "rmse-vs-objects": ("benchmark", "n_objects"),
+    "planning-table": ("plan", None),
+}
 
 PLANNING_COLUMNS = (
     "trial",
@@ -78,14 +84,10 @@ PLANNING_COLUMNS = (
 )
 
 
-# the sweep key each swept kind runs over; its values are counts >= 1
-_SWEEP_KEYS = {
-    "rmse-vs-samples": "n_samples",
-    "rmse-vs-classes": "n_classes",
-    "rmse-vs-objects": "n_objects",
-}
-# the swept kinds that run every value on a resized scenario
-_RESIZE_KINDS = ("rmse-vs-classes", "rmse-vs-objects")
+def _resize_key(kind: str):
+    """The scenario size a swept kind resizes per value, or None."""
+    key = KINDS[kind][1]
+    return key if key in ("n_classes", "n_objects") else None
 
 
 class ConfigError(ValueError):
@@ -94,7 +96,7 @@ class ConfigError(ValueError):
 
 # field -> (shape, valid, wording) for scenario.check; _validate then checks across fields
 CONFIG_RULES = {
-    "kind": (None, lambda v: v in ALL_KINDS, f"one of {ALL_KINDS}"),
+    "kind": (None, lambda v: isinstance(v, str) and v in KINDS, f"one of {tuple(KINDS)}"),
     "methods": (
         None,
         lambda v: isinstance(v, (list, tuple)) and v and all(m in METHOD_TAGS for m in v),
@@ -218,7 +220,7 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ConfigError(f"methods lists {repeated} more than once")
-        key = _SWEEP_KEYS.get(self.kind)
+        key = KINDS[self.kind][1]
         if key is not None:
             values = self.sweep.get(key)
             if not (
@@ -231,7 +233,7 @@ class ExperimentConfig:
                     f"integers >= 1, got {values!r}"
                 )
         self._check_hypothesis_guards()
-        if self.kind not in PLANNING_KINDS:
+        if self.kind != "planning-table":
             need = self.n_steps + self.eval_horizon
             if len(self.scenario.actions) < need:
                 raise ConfigError(
@@ -251,19 +253,17 @@ class ExperimentConfig:
         the largest scenario the run builds: the exact reference of the
         estimation kinds and each theoretical-* method under
         EXACT_MAX_HYPOTHESES, each pf-* method under PF_MAX_HYPOTHESES."""
-        exact = [] if self.kind in PLANNING_KINDS else ["the exact reference"]
+        exact = [] if self.kind == "planning-table" else ["the exact reference"]
         exact += [m for m in self.methods if m.startswith("theoretical-")]
         guards = (
             ("EXACT_MAX_HYPOTHESES", EXACT_MAX_HYPOTHESES, exact),
             ("PF_MAX_HYPOTHESES", PF_MAX_HYPOTHESES, [m for m in self.methods if m.startswith("pf-")]),
         )
-        n_obj, n_cls = self.scenario.n_objects, self.scenario.n_classes
-        sizes = [(n_obj, n_cls)]
-        if self.kind == "rmse-vs-classes":
-            sizes = [(n_obj, v) for v in self.sweep["n_classes"]]
-        elif self.kind == "rmse-vs-objects":
-            sizes = [(v, n_cls) for v in self.sweep["n_objects"]]
-        for n_obj, n_cls in sizes:
+        base = {"n_objects": self.scenario.n_objects, "n_classes": self.scenario.n_classes}
+        key = _resize_key(self.kind)
+        sizes = [dict(base, **{key: v}) for v in self.sweep[key]] if key else [base]
+        for size in sizes:
+            n_obj, n_cls = size["n_objects"], size["n_classes"]
             # 2**64 already exceeds every guard: no need for the full power
             count = n_cls ** min(n_obj, 64)
             for name, limit, needed_by in guards:
@@ -353,7 +353,7 @@ def _estimation_trial(
     reference = ExactReference(scenario, follow=methods.get("theoretical-all-hyp"))
     ref_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 99)))
     per_step = cfg.kind == "psafe-vs-time"
-    resized = cfg.kind in _RESIZE_KINDS
+    resized = _resize_key(cfg.kind) is not None
     sample_sweep = cfg.kind == "rmse-vs-samples"
     sample_counts = cfg.sweep["n_samples"] if sample_sweep else [cfg.n_samples]
     update_s = dict.fromkeys(methods, 0.0)
@@ -384,11 +384,12 @@ def _estimation_trial(
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run one configured experiment in this process, trials in config
-    order; writes rows CSV and summary JSON.
+    order; writes rows CSV and summary JSON.  The out directory is made
+    before any trial runs; one that cannot be made or written is a
+    ConfigError.
 
     Returns the summary dict (with file paths under "files")."""
-    out = Path(out_dir or config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out(out_dir or config.out)
     summary: dict = {
         "kind": config.kind,
         "seed": config.seed,
@@ -409,19 +410,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         summary["planning"] = _summarize_planning(rows)
         emit = emit_planning
     else:
-        resized = config.kind in _RESIZE_KINDS
-        param = _SWEEP_KEYS.get(config.kind)
+        key = _resize_key(config.kind)
         rows, hashes = [], {}
-        for value in config.sweep[param] if resized else [""]:
+        for value in config.sweep[key] if key else [""]:
             scen = config.scenario
-            if resized:
-                scen = resize_scenario(scen, **{param: value})
+            if key:
+                scen = resize_scenario(scen, **{key: value})
             per_trial = {}
             for trial in range(config.trials):
                 trial_rows, per_trial[str(trial)] = _estimation_trial(config, scen, value, trial)
                 rows.extend(trial_rows)
             hashes[str(value)] = per_trial
-        summary["stream_hashes"] = hashes if resized else hashes[""]
+        summary["stream_hashes"] = hashes if key else hashes[""]
         summary.update(_summarize_metrics(rows))
         emit = emit_plotdata
     summary["wall_s"] = time.perf_counter() - t_start
@@ -488,20 +488,45 @@ def _summarize_planning(rows: list) -> dict:
 # emission
 
 
+def make_out(out) -> Path:
+    """Create the output directory; ConfigError when it cannot be made."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate
+        raise ConfigError(f"cannot create out directory {out!r}: {exc}") from exc
+    return path
+
+
+def write_out(path: Path, write) -> str:
+    """Open `path` for text and call write(fh); ConfigError when it cannot
+    be written.  Returns the path as a string."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return str(path)
+
+
+def write_json(path: Path, obj) -> str:
+    return write_out(path, lambda fh: json.dump(obj, fh, indent=2, default=str))
+
+
 def _emit(columns, cells, summary: dict, out_dir, prefix: str) -> dict:
     """Write `<prefix>_rows.csv` (a header, then one line per cell list) and
-    `<prefix>_summary.json`; returns their paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / f"{prefix}_rows.csv"
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
+    `<prefix>_summary.json` into the existing `out_dir`; returns their paths."""
+
+    def rows(fh):
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(cells)
-    summary_path = out / f"{prefix}_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-    return {"rows": str(rows_path), "summary": str(summary_path)}
+
+    out = Path(out_dir)
+    return {
+        "rows": write_out(out / f"{prefix}_rows.csv", rows),
+        "summary": write_json(out / f"{prefix}_summary.json", summary),
+    }
 
 
 def emit_plotdata(rows, summary: dict, out_dir, prefix: str) -> dict:

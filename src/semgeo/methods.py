@@ -210,9 +210,6 @@ class ExactReference(_Method):
             self.exact = self.exact.update(action, batch)
         super()._advance(action, batch)
 
-    def pose_mean(self) -> np.ndarray:
-        return self.exact.pose_mean()
-
 
 class _ParticleMethod:
     """Per-hypothesis particle filters with explicit hypothesis expectation.
@@ -229,10 +226,6 @@ class _ParticleMethod:
         self._keep = keep
         self._n_particles = n_particles
         self.pf = None
-
-    @property
-    def k(self) -> int:
-        return 0 if self.pf is None else self.pf.k
 
     def _ensure(self, rng) -> None:
         if self.pf is None:

@@ -8,15 +8,14 @@ across samples and cancel in self-normalization and in acceptance ratios.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import _kernels
-from .belief import HybridBelief, decode_labels, n_hypotheses
+from .belief import HybridBelief
 from .gaussian import StackedIndex
 
 
@@ -138,43 +137,3 @@ def snis_sample(
     sset = WeightedStateSet(samples=samples, log_weights=log_w, index=belief.index)
     sset.diagnostics["ess"] = sset.ess
     return sset
-
-
-def complete_hypotheses(
-    belief: HybridBelief, state_set: WeightedStateSet, rng: np.random.Generator
-) -> WeightedStateSet:
-    """Pair every state sample with a class draw from b[c_n | X].
-
-    Classes are drawn independently per object from the factored conditional;
-    the state weights are unchanged, so the pairs target the joint belief.
-    """
-    labels = belief.sample_hypothesis_given_state(state_set.samples, rng)
-    out = replace(state_set, labels=labels)
-    out.diagnostics = dict(state_set.diagnostics, completion="factored-conditional")
-    return out
-
-
-def uniform_hypothesis_is(
-    belief: HybridBelief, n_samples: int, rng: np.random.Generator
-) -> WeightedStateSet:
-    """Importance sampler whose hypothesis proposal is uniform over the joint
-    class space (drawn through the integer codec), with X from the geometric
-    posterior.  The log weight is log|C-space| plus the picked table entries;
-    kept as a worst-case contrast for the factored samplers."""
-    sc = belief.scenario
-    total = n_hypotheses(sc.n_objects, sc.n_classes)
-    samples = belief.geo.sample(rng, n_samples)
-    labels = decode_labels(rng.integers(0, total, size=n_samples), sc.n_objects, sc.n_classes)
-    tables = belief.class_log_tables(samples)
-    rows = np.arange(n_samples)[:, None]
-    objs = np.arange(sc.n_objects)[None, :]
-    log_w = tables[rows, objs, labels].sum(axis=1) + math.log(total)
-    if not np.isfinite(logsumexp(log_w)):
-        raise DegenerateWeightsError("all uniform-hypothesis weights are zero")
-    return WeightedStateSet(
-        samples=samples,
-        log_weights=log_w,
-        index=belief.index,
-        labels=labels,
-        diagnostics={"ess": log_ess(log_w)},
-    )

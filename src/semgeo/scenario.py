@@ -317,9 +317,6 @@ class History:
     actions: list = field(default_factory=list)
     batches: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
     def append(self, action: np.ndarray, batch: ObservationBatch) -> None:
         if batch.t != len(self.actions) + 1:
             raise ScenarioError(

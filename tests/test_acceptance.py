@@ -25,20 +25,16 @@ from semgeo.estimators import (
     estimate_explicit_c,
     estimate_structured,
     factored_joint,
-    rao_blackwell_gap,
     rollout_states,
 )
 from semgeo.gaussian import GaussianFactorGraph
 from semgeo.harness import ExperimentConfig, load_scenario, resize_scenario, run_experiment
 from semgeo.methods import ExactReference, create_method
 from semgeo.oracles import random_structured_reward
-from semgeo.samplers import (
-    complete_hypotheses,
-    mh_sample,
-    snis_sample,
-    uniform_hypothesis_is,
-)
+from semgeo.samplers import mh_sample, snis_sample
 from semgeo.scenario import Scenario, default_alphas, simulate, trial_streams
+
+from studies import EMPTY_PLAN, complete_hypotheses, rao_blackwell_gap, uniform_hypothesis_is
 
 
 def report(ok: bool, label: str, detail: str) -> None:
@@ -100,7 +96,7 @@ def test_c01_semantic_factor_factorizes_exactly():
         log_phi = hybrid.log_phi(x)[0]
         # brute force: sum the full product expansion over every joint label
         tables = hybrid.class_log_tables(x)[0]
-        labels = enumerate_labels(n_obj, n_cls)
+        labels = enumerate_labels(n_obj, n_cls, n_cls**n_obj)
         brute = logsumexp(tables[np.arange(n_obj)[None, :], labels].sum(axis=1))
         worst = max(worst, abs(log_phi - brute) / max(1.0, abs(brute)))
     elapsed = time.perf_counter() - t0
@@ -134,7 +130,7 @@ def test_c03_structured_estimator_equals_explicit_and_is_faster():
         reward = random_structured_reward(sc, rng)
         belief = HybridBelief.from_scenario(sc)
         sset = complete_hypotheses(belief, snis_sample(belief, 64, rng), rng)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
+        rollout = rollout_states(sset, EMPTY_PLAN, sc, rng)
         probs = rng.dirichlet(np.ones(n_cls), size=(64, n_obj))
         a = estimate_structured(sset, rollout, reward, sc, probs)
         labels_enum = enumerate_labels(n_obj, n_cls, 70_000)
@@ -147,7 +143,7 @@ def test_c03_structured_estimator_equals_explicit_and_is_faster():
     reward = random_structured_reward(sc, rng)
     belief = HybridBelief.from_scenario(sc)
     sset = complete_hypotheses(belief, snis_sample(belief, 200, rng), rng)
-    rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
+    rollout = rollout_states(sset, EMPTY_PLAN, sc, rng)
     probs = rng.dirichlet(np.ones(4), size=(200, 8))
     t_struct = t_expl = np.inf
     for _ in range(3):

@@ -136,7 +136,7 @@ class TestPrune:
         # at the uniform prior every hypothesis ties; lowest indices survive
         belief = AnalyticHybridBelief.from_scenario(oracle_small)
         pruned = belief.prune(keep=3)
-        expected = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)[:3]
+        expected = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 4)[:3]
         assert np.array_equal(pruned.labels_enum, expected)
 
     def test_keep_larger_than_tracked_keeps_all(self, seeded_history):

@@ -8,16 +8,16 @@ from scipy.special import logsumexp
 
 from semgeo.baselines import AnalyticHybridBelief
 from semgeo.belief import (
-    CodecRangeError,
     HybridBelief,
     append_step,
     decode_labels,
     enumerate_labels,
-    n_hypotheses,
     prior_graph,
 )
 from semgeo.gaussian import GaussianFactorGraph, StackedIndex
 from semgeo.scenario import ObservationBatch, ScenarioError, simulate, trial_streams
+
+from studies import sample_hypothesis_given_state
 
 
 class TestCodec:
@@ -36,26 +36,19 @@ class TestCodec:
         np.testing.assert_array_equal(labels, [[1, 0, 0], [0, 2, 0]])
 
     def test_enumeration_matches_decoder(self):
-        labels = enumerate_labels(3, 4)
+        labels = enumerate_labels(3, 4, 64)
         assert labels.shape == (64, 3)
         some = np.array([0, 17, 63])
         np.testing.assert_array_equal(labels[some], decode_labels(some, 3, 4))
         assert len(np.unique(labels, axis=0)) == 64
 
-    def test_codec_overflow_guard(self):
-        assert n_hypotheses(20, 8) == 8**20
-        with pytest.raises(CodecRangeError):
-            n_hypotheses(64, 4)
-
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="guard"):
             enumerate_labels(4, 4, max_hypotheses=255)
         assert enumerate_labels(4, 4, max_hypotheses=256).shape == (256, 4)
-        # 4**40 > 2**63: the guard speaks before the codec range check
+        # 4**40 > 2**63: the guard speaks before any index is formed
         with pytest.raises(ValueError, match="max_hypotheses=10000"):
             enumerate_labels(40, 4, max_hypotheses=10_000)
-        with pytest.raises(CodecRangeError):
-            enumerate_labels(40, 4)
 
 
 class TestPriorBelief:
@@ -194,7 +187,7 @@ class TestFactorizedTables:
         _, _, hybrid, _, streams = seeded_history
         x = hybrid.geo.sample(streams.sampler, 8)
         tables = hybrid.class_log_tables(x)
-        labels = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        labels = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 4)
         rows = np.arange(len(x))[:, None, None]
         objs = np.arange(oracle_small.n_objects)[None, None, :]
         per_h = tables[rows, objs, labels[None, :, :]].sum(axis=2)
@@ -206,7 +199,7 @@ class TestFactorizedTables:
         """logsumexp over labels of the unnormalized joint = the marginal."""
         _, _, hybrid, _, streams = seeded_history
         x = hybrid.geo.sample(streams.sampler, 6)
-        labels = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        labels = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 4)
         per_h = np.stack(
             [
                 hybrid.log_unnormalized_joint(x, np.tile(lab, (len(x), 1)))
@@ -225,7 +218,7 @@ class TestFactorizedTables:
         rng = np.random.default_rng(5)
         x = np.tile(hybrid.geo.sample(rng, 1), (20_000, 1))
         probs = hybrid.class_posterior_given_state(x[:1])[0]
-        labels = hybrid.sample_hypothesis_given_state(x, rng)
+        labels = sample_hypothesis_given_state(hybrid, x, rng)
         for n in range(hybrid.scenario.n_objects):
             freq = np.bincount(labels[:, n], minlength=hybrid.scenario.n_classes)
             freq = freq / len(labels)

@@ -14,15 +14,16 @@ from semgeo.estimators import (
     expected_cost,
     factored_joint,
     is_mse_lower_bound,
-    rao_blackwell_gap,
     reward_at_labels,
     rollout_states,
     safety_reward,
 )
 from semgeo.gaussian import StackedIndex
 from semgeo.oracles import random_structured_reward
-from semgeo.samplers import WeightedStateSet, complete_hypotheses, log_ess, snis_sample
+from semgeo.samplers import WeightedStateSet, log_ess, snis_sample
 from semgeo.scenario import Scenario
+
+from studies import EMPTY_PLAN, complete_hypotheses, rao_blackwell_gap
 
 
 def fixed_state_set(pose, objects):
@@ -64,11 +65,11 @@ class TestPlanAndRollout:
     def test_plan_shapes(self):
         plan = OpenLoopPlan([1.0, 0.0])
         assert plan.horizon == 1 and plan.actions.shape == (1, 2)
-        assert OpenLoopPlan.empty().horizon == 0
+        assert EMPTY_PLAN.horizon == 0
 
     def test_rollout_zero_horizon(self, rng):
         sset = fixed_state_set([1.0, 2.0], [[0.0, 0.0]])
-        roll = rollout_states(sset, OpenLoopPlan.empty(), point_scenario(
+        roll = rollout_states(sset, EMPTY_PLAN, point_scenario(
             1, 2, [0.0, 1.0], [[0.0, 0.0]]), rng)
         assert roll.shape == (0, 2, 64)
 
@@ -126,7 +127,7 @@ class TestEstimatorAgreement:
         probs = hybrid.class_posterior_given_state(samples)
         plan = OpenLoopPlan(oracle_small.actions[:3])
         rollout = rollout_states(sset, plan, oracle_small, streams.sampler)
-        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 4)
         joint = factored_joint(probs, labels_enum)
         for _ in range(4):
             reward = random_structured_reward(oracle_small, streams.sampler)
@@ -142,7 +143,7 @@ class TestEstimatorAgreement:
         pairs = complete_hypotheses(hybrid, sset, streams.sampler)
         probs = hybrid.class_posterior_given_state(sset.samples)
         reward = random_structured_reward(oracle_small, streams.sampler)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), oracle_small, streams.sampler)
+        rollout = rollout_states(sset, EMPTY_PLAN, oracle_small, streams.sampler)
         a = estimate_sampled_xc(pairs, rollout, reward, oracle_small)
         b = estimate_structured(sset, rollout, reward, oracle_small, probs)
         tol = 6 * np.hypot(a.std_error, b.std_error)
@@ -154,12 +155,12 @@ class TestEstimatorAgreement:
         sset = WeightedStateSet(
             samples=samples, log_weights=np.zeros(32), index=hybrid.index
         )
-        labels_enum = enumerate_labels(2, 2)
+        labels_enum = enumerate_labels(2, 2, 4)
         labels = streams.sampler.integers(0, 4, size=32)
         joint = np.zeros((32, 4))
         joint[np.arange(32), labels] = 1.0
         reward = random_structured_reward(oracle_small, streams.sampler)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), oracle_small, streams.sampler)
+        rollout = rollout_states(sset, EMPTY_PLAN, oracle_small, streams.sampler)
         via_joint = estimate_explicit_c(
             sset, rollout, reward, oracle_small,
             joint_probs=joint, labels_enum=labels_enum,
@@ -170,7 +171,7 @@ class TestEstimatorAgreement:
     def test_requires_labels_for_sampled_xc(self, seeded_history, oracle_small):
         _, _, hybrid, _, streams = seeded_history
         sset = snis_sample(hybrid, 16, streams.sampler)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), oracle_small, streams.sampler)
+        rollout = rollout_states(sset, EMPTY_PLAN, oracle_small, streams.sampler)
         reward = random_structured_reward(oracle_small, streams.sampler)
         with pytest.raises(ValueError, match="labels"):
             estimate_sampled_xc(sset, rollout, reward, oracle_small)
@@ -185,7 +186,7 @@ class TestGuards:
             samples=samples, log_weights=np.zeros(8), index=hybrid.index
         )
         probs = hybrid.class_posterior_given_state(samples)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), oracle_small, streams.sampler)
+        rollout = rollout_states(sset, EMPTY_PLAN, oracle_small, streams.sampler)
         reward = random_structured_reward(oracle_small, streams.sampler)
         with pytest.raises(ValueError, match="sum to 1"):
             estimate_structured(
@@ -199,7 +200,7 @@ class TestGuards:
         objects = [[3.0, 0.0], [0.0, 3.0]]
         sc = point_scenario(2, 2, [0.5, 1.0], objects)
         sset = fixed_state_set([0.0, 0.0], objects)
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
+        rollout = rollout_states(sset, EMPTY_PLAN, sc, rng)
         reward = safety_reward(sc)
 
         def estimate(offset):
@@ -211,7 +212,7 @@ class TestGuards:
             joint[:, 0] += offset
             return estimate_explicit_c(
                 sset, rollout, reward, sc,
-                joint_probs=joint, labels_enum=enumerate_labels(2, 2),
+                joint_probs=joint, labels_enum=enumerate_labels(2, 2, 4),
             )
 
         assert np.allclose(1.0 + 1e-5, 1.0, atol=1e-6)
@@ -225,7 +226,7 @@ class TestGuards:
         """The explicit route's guard is the enumeration it needs."""
         with pytest.raises(ValueError, match="exceed the guard 3.*max_hypotheses"):
             enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 3)
-        # 4**40 > 2**63: still the guard's ValueError, not a CodecRangeError
+        # 4**40 > 2**63: the guard speaks before any index is formed
         wide = point_scenario(40, 4, [0.0, 0.1, 0.2, 0.3], [[2.0 + j, 0.0] for j in range(40)])
         with pytest.raises(ValueError, match=f"{4**40} hypotheses.*max_hypotheses"):
             enumerate_labels(wide.n_objects, wide.n_classes, 10_000)
@@ -241,7 +242,7 @@ class TestGuards:
         )
         plan = OpenLoopPlan([[1.3, 0.0], [1.0, 0.0], [1.0, 0.0]])
         rollout = rollout_states(sset, plan, sc, rng)
-        labels_enum = enumerate_labels(14, 2)
+        labels_enum = enumerate_labels(14, 2, 2**14)
         joint = np.full((2, len(labels_enum)), 1.0 / len(labels_enum))
         rep = estimate_explicit_c(
             sset, rollout, safety_reward(sc), sc,
@@ -281,7 +282,7 @@ class TestSafety:
     def test_empty_plan_is_safe(self, rng):
         sc = point_scenario(1, 2, [0.0, 5.0], [[0.1, 0.0]])
         sset = fixed_state_set([0.0, 0.0], [[0.1, 0.0]])
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
+        rollout = rollout_states(sset, EMPTY_PLAN, sc, rng)
         probs = np.tile([0.0, 1.0], (64, 1, 1))
         est = estimate_structured(sset, rollout, safety_reward(sc), sc, probs)
         np.testing.assert_allclose(est.value, 1.0, rtol=1e-12)
@@ -312,7 +313,7 @@ class TestSafety:
         plan = OpenLoopPlan(oracle_small.actions[:3])
         rollout = rollout_states(sset, plan, oracle_small, streams.sampler)
         reward = safety_reward(oracle_small)
-        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes)
+        labels_enum = enumerate_labels(oracle_small.n_objects, oracle_small.n_classes, 4)
         joint = factored_joint(probs, labels_enum)
         assert oracle_small.n_objects > 1
         calls = []
@@ -360,8 +361,8 @@ class TestCost:
         sc = Scenario.from_dict(sc.to_dict())
         sc.goal = np.array([0.0, 4.0])
         sset = fixed_state_set([0.0, 0.0], [[50.0, 50.0]])
-        rollout = rollout_states(sset, OpenLoopPlan.empty(), sc, rng)
-        est = expected_cost(sset, rollout, OpenLoopPlan.empty(), sc)
+        rollout = rollout_states(sset, EMPTY_PLAN, sc, rng)
+        est = expected_cost(sset, rollout, EMPTY_PLAN, sc)
         np.testing.assert_allclose(est.value, 4.0, rtol=1e-12)
 
 

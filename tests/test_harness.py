@@ -865,6 +865,25 @@ class TestCli:
         assert "cannot create out directory" in capsys.readouterr().err
         assert ran == []
 
+    def test_directory_at_the_rows_file_exits_2(self, tmp_path, capsys):
+        """The rows write used to raise IsADirectoryError after the whole
+        experiment had run (exit 1)."""
+        (tmp_path / "res" / "psafe-vs-time_rows.csv").mkdir(parents=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TINY, trials=1, methods=["gs-map"])))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "psafe-vs-time_rows.csv" in err
+
+    def test_directory_at_oracle_check_json_exits_2(self, tmp_path, capsys, monkeypatch):
+        """The report write used to raise IsADirectoryError after every
+        check had run (exit 1)."""
+        monkeypatch.setattr(cli_mod, "run_oracle_checks", lambda scenario, seed=0: (True, []))
+        (tmp_path / "oracle_check.json").mkdir()
+        assert main(["oracle-check", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "oracle_check.json" in err
+
     def test_oracle_check_negative_seed_exits_2(self, capsys):
         """The checks' random streams take only non-negative seeds."""
         assert main(["oracle-check", "--seed", "-1"]) == 2

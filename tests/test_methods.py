@@ -21,6 +21,8 @@ from semgeo.estimators import EstimateReport, OpenLoopPlan
 from semgeo.methods import METHOD_TAGS, ExactReference, _Method, create_method
 from semgeo.scenario import ScenarioError, simulate, trial_streams
 
+from studies import EMPTY_PLAN
+
 PLAN = OpenLoopPlan(np.tile([0.4, 0.2], (3, 1)))
 
 
@@ -79,7 +81,7 @@ class TestSharedContract:
     def test_update_then_estimate(self, tag, oracle_small, seeded_history):
         _, history, _, _, _ = seeded_history
         method, rng = advanced(tag, oracle_small, history)
-        assert method.k == len(history.batches)
+        assert (method.pf if tag.startswith("pf-") else method).k == len(history.batches)
         assert method.pose_mean().shape == (2,)
         est = method.estimate(PLAN, 60, rng)
         assert set(est) == {"p_safe", "cost"}
@@ -243,7 +245,7 @@ class TestAgreement:
             _, history = simulate(sc, 3, streams.world, streams.noise)
             own, rng_a = advanced("reference", sc, history)
             shared, rng_b = advanced("reference", sc, history)
-            for plan in (PLAN, OpenLoopPlan(sc.actions[3:9]), OpenLoopPlan.empty()):
+            for plan in (PLAN, OpenLoopPlan(sc.actions[3:9]), EMPTY_PLAN):
                 a = own.estimate(plan, 3_000, rng_a, math.inf)
                 b = shared.estimate(plan, 3_000, rng_b)
                 assert a["cost"] is None and b["cost"] is not None

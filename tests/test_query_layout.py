@@ -287,7 +287,7 @@ class TestEstimates:
         got = estimate_structured(sset, rollout, reward, sc, probs)
         assert (got.value, got.std_error) == (expect.value, expect.std_error)
 
-        labels = enumerate_labels(3, 8)
+        labels = enumerate_labels(3, 8, 512)
         joint = np.ones((n, len(labels)))
         vals = np.ones((n, len(labels)))
         for obj in range(sc.n_objects):

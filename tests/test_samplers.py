@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 import semgeo.samplers as samplers_mod
-from semgeo.samplers import (
-    WeightedStateSet,
-    complete_hypotheses,
-    log_ess,
-    mh_sample,
-    snis_sample,
-    uniform_hypothesis_is,
-)
+from semgeo.samplers import WeightedStateSet, log_ess, mh_sample, snis_sample
+
+from studies import complete_hypotheses, uniform_hypothesis_is
 
 
 class TestEss:

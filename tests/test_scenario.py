@@ -268,7 +268,7 @@ class TestSimulate:
         """batches[i] is taken at pose i+1, right after actions[i]."""
         streams = trial_streams(2, 0)
         world, history = simulate(oracle_small, 3, streams.world, streams.noise)
-        assert len(history) == 3
+        assert len(history.actions) == 3
         assert [b.t for b in history.batches] == [1, 2, 3]
         assert world.trajectory.shape == (4, 2)
 

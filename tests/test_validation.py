@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from semgeo.cli import main
 from semgeo.harness import (
-    ALL_KINDS,
     CONFIG_RULES,
+    KINDS,
     PLANNER_RULES,
     ConfigError,
     ExperimentConfig,
@@ -81,7 +81,7 @@ def values_for(path):
     if path == "methods":
         extra = st.lists(st.sampled_from(METHOD_TAGS), max_size=3)
     elif path == "kind":
-        extra = st.sampled_from(ALL_KINDS)
+        extra = st.sampled_from(tuple(KINDS))
     elif isinstance(base, (int, float, list)):
         a = np.asarray(base, dtype=float)
         extra = st.floats().map(lambda x: _times(a, x)) | st.floats().map(
